@@ -101,23 +101,11 @@ void EmitJsonBaseline() {
   const auto summary =
       bench::Summarize(rep_ms, static_cast<double>(stream.size()));
 
-  // Side-by-side legacy-kernel arm (use_flat_kernels = false): the same
-  // stream through the pre-rewrite std::unordered_map state tables, so the
-  // committed JSON records the flat-vs-legacy ratio on this host. Not
-  // gated — ops_per_sec above is the regression metric.
-  PracticalItemCf::Options legacy = options;
-  legacy.use_flat_kernels = false;
-  std::vector<double> legacy_ms;
-  (void)one_rep(legacy);  // warmup
-  for (int r = 0; r < kReps; ++r) legacy_ms.push_back(one_rep(legacy));
-  const auto legacy_summary =
-      bench::Summarize(legacy_ms, static_cast<double>(stream.size()));
-
   char extra[200];
   std::snprintf(extra, sizeof(extra),
                 "\"actions\": %zu, \"reps\": %d, \"pruning\": true, "
-                "\"window_sessions\": 8, \"legacy_ops_per_sec\": %.1f",
-                stream.size(), kReps, legacy_summary.ops_per_sec);
+                "\"window_sessions\": 8",
+                stream.size(), kReps);
   bench::WriteBenchJson("micro_itemcf", summary, extra);
 }
 

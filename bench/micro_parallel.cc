@@ -128,32 +128,6 @@ void EmitJsonBaseline() {
   const auto summary =
       bench::Summarize(rep_ms, static_cast<double>(stream.size()));
 
-  // Side-by-side legacy-kernel arm (use_flat_kernels = false): the same
-  // stream through the same 4+4 sharded executor but with the pre-rewrite
-  // std::unordered_map state tables, so the committed JSON records the
-  // flat-vs-legacy ratio on this host. Not gated — ops_per_sec above is
-  // the regression metric.
-  auto one_rep_legacy = [&stream] {
-    const auto t0 = std::chrono::steady_clock::now();
-    ParallelItemCf::Options options;
-    options.cf = AlgoOptions();
-    options.cf.use_flat_kernels = false;
-    options.user_shards = 4;
-    options.pair_shards = 4;
-    ParallelItemCf cf(options);
-    cf.ProcessActions(stream);
-    cf.Drain();
-    benchmark::DoNotOptimize(cf.stats().pair_updates);
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-  };
-  std::vector<double> legacy_ms;
-  (void)one_rep_legacy();  // warmup
-  for (int r = 0; r < kReps; ++r) legacy_ms.push_back(one_rep_legacy());
-  const auto legacy_summary =
-      bench::Summarize(legacy_ms, static_cast<double>(stream.size()));
-
   // The rep for the overhead pairings below: the SERIAL reference on the
   // same stream, on the bench main thread registered as a stage. Two
   // reasons it is not the tracked 4+4 config:
@@ -250,13 +224,13 @@ void EmitJsonBaseline() {
   char extra[448];
   std::snprintf(extra, sizeof(extra),
                 "\"shards\": 4, \"actions\": %zu, \"reps\": %d, "
-                "\"cores\": %u, \"legacy_ops_per_sec\": %.1f,\n  "
+                "\"cores\": %u,\n  "
                 "\"obs_ops_per_sec\": %.1f, \"obs_overhead_pct\": %.4f,\n  "
                 "\"profiler_ops_per_sec\": %.1f, "
                 "\"profiler_overhead_pct\": %.4f",
                 stream.size(), kReps, std::thread::hardware_concurrency(),
-                legacy_summary.ops_per_sec, obs_ops_per_sec, obs_overhead_pct,
-                profiler_ops_per_sec, profiler_overhead_pct);
+                obs_ops_per_sec, obs_overhead_pct, profiler_ops_per_sec,
+                profiler_overhead_pct);
   bench::WriteBenchJson("micro_parallel", summary, extra);
 }
 

@@ -26,7 +26,10 @@ constexpr const char* kTopologyXml = R"(
   <spout name="spout" class="VideoActionSpout"/>
   <bolts>
     <bolt name="pretreatment" class="Pretreatment" parallelism="2">
-      <grouping type="shuffle"><source>spout</source></grouping>
+      <grouping type="field">
+        <source>spout</source>
+        <fields>user</fields>
+      </grouping>
     </bolt>
     <bolt name="user_history" class="UserHistory" parallelism="2">
       <grouping type="field">

@@ -10,11 +10,12 @@
 #   3. the `durable` label on its own (torn-tail recovery sweeps, snapshot
 #      round-trips, and the kill-mid-stream SIGKILL recovery test must pass
 #      standalone, not only interleaved with the suite);
-#   4. an AddressSanitizer+UBSan build running the `itemcf` label (the
-#      raw-memory flat tables, arena scratch, and SoA TopK of DESIGN.md
-#      §15, in both flat and legacy kernel modes);
+#   4. an AddressSanitizer+UBSan build running the `itemcf` and `query`
+#      labels (the raw-memory flat tables, arena scratch, and SoA TopK of
+#      DESIGN.md §15, and the planned-read query path of §11);
 #   5. a ThreadSanitizer build running the `concurrent` label (sharded
-#      executor, striped histogram/tracer, batch clients, single-flight).
+#      executor, striped histogram/tracer, batch clients, single-flight,
+#      the tstorm task threads and spout-open barrier).
 #
 #   scripts/ci_verify.sh [build-dir] [tsan-build-dir] [asan-build-dir]
 #
@@ -43,10 +44,10 @@ echo "=== durable: WAL/snapshot recovery incl. kill-mid-stream ==="
 if [[ "${TR_SKIP_ASAN:-0}" == "1" ]]; then
   echo "=== asan: skipped (TR_SKIP_ASAN=1) ==="
 else
-  echo "=== asan: itemcf label under AddressSanitizer+UBSan ==="
+  echo "=== asan: itemcf + query labels under AddressSanitizer+UBSan ==="
   cmake -B "$asan_dir" -S "$repo_root" -DTR_SANITIZE_ADDRESS=ON
   cmake --build "$asan_dir" -j
-  (cd "$asan_dir" && ctest -L itemcf --output-on-failure)
+  (cd "$asan_dir" && ctest -L 'itemcf|query' --output-on-failure)
 fi
 
 if [[ "${TR_SKIP_TSAN:-0}" == "1" ]]; then

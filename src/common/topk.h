@@ -163,87 +163,6 @@ class TopK {
   std::vector<double> scores_;
 };
 
-/// The pre-rewrite TopK — array-of-structs entries re-sorted on every
-/// update — kept as the parity oracle: tests/flat_kernel_test.cc drives
-/// both implementations with identical randomized traces and asserts
-/// bit-identical entries/thresholds/return values.
-///
-/// One deliberate fix relative to the historical code is folded in here
-/// too: the sort comparator tie-breaks equal scores by ascending id. The
-/// original strict `score >` comparator left equal-score order unspecified
-/// (std::sort is not stable), so eviction picked an arbitrary victim and
-/// serialized lists differed across runs — the bug this PR fixes. With the
-/// total order, sort-per-update and the sift kernel above are equivalent
-/// by construction.
-template <typename Id>
-class LegacyTopK {
- public:
-  using Entry = typename TopK<Id>::Entry;
-
-  explicit LegacyTopK(size_t k) : k_(k) {}
-
-  bool Update(const Id& id, double score) {
-    for (auto& e : entries_) {
-      if (e.id == id) {
-        e.score = score;
-        Reorder();
-        return true;
-      }
-    }
-    if (entries_.size() < k_) {
-      entries_.push_back({id, score});
-      Reorder();
-      return true;
-    }
-    if (score > entries_.back().score) {
-      entries_.back() = {id, score};
-      Reorder();
-      return true;
-    }
-    return false;
-  }
-
-  bool Erase(const Id& id) {
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      if (entries_[i].id == id) {
-        entries_.erase(entries_.begin() + static_cast<ptrdiff_t>(i));
-        return true;
-      }
-    }
-    return false;
-  }
-
-  bool Contains(const Id& id) const {
-    for (const auto& e : entries_) {
-      if (e.id == id) return true;
-    }
-    return false;
-  }
-
-  double Threshold() const {
-    if (entries_.size() < k_) return 0.0;
-    return entries_.back().score;
-  }
-
-  const std::vector<Entry>& entries() const { return entries_; }
-
-  size_t size() const { return entries_.size(); }
-  size_t capacity() const { return k_; }
-  bool empty() const { return entries_.empty(); }
-
- private:
-  void Reorder() {
-    std::sort(entries_.begin(), entries_.end(),
-              [](const Entry& a, const Entry& b) {
-                if (a.score != b.score) return a.score > b.score;
-                return a.id < b.id;
-              });
-  }
-
-  size_t k_;
-  std::vector<Entry> entries_;
-};
-
 }  // namespace tencentrec
 
 #endif  // TENCENTREC_COMMON_TOPK_H_

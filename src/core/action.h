@@ -82,6 +82,18 @@ struct UserAction {
   uint64_t trace_id = 0;
 };
 
+/// The id contract of every ingest path: user and item ids in [1, 2^32)
+/// and a non-negative event time. The CF state tables pack two item ids
+/// into one uint64 (core/itemcf/pair_key.h) and the CTR level keys keep an
+/// item's low 32 bits, so an id outside the range would abort the kernel or
+/// alias another item's counters; PretreatmentBolt and
+/// TencentRec::ProcessBatch drop such actions instead.
+inline bool HasValidIds(const UserAction& a) {
+  constexpr int64_t kIdLimit = int64_t{1} << 32;
+  return a.user >= 1 && a.user < kIdLimit && a.item >= 1 &&
+         a.item < kIdLimit && a.timestamp >= 0;
+}
+
 /// Per-action-type rating weights (§4.1.2: "a browse behavior may
 /// correspond to a one star rating while a purchase behavior corresponds to
 /// a three star rating"). A user's rating for an item is the MAX weight

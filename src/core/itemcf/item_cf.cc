@@ -9,8 +9,7 @@ namespace tencentrec::core {
 
 PracticalItemCf::PracticalItemCf(Options options)
     : options_(std::move(options)),
-      counts_(options_.session_length, options_.window_sessions,
-              options_.use_flat_kernels) {
+      counts_(options_.session_length, options_.window_sessions) {
   if (options_.hoeffding_delta <= 0.0 || options_.hoeffding_delta >= 1.0) {
     options_.hoeffding_delta = 0.05;
   }
@@ -18,67 +17,39 @@ PracticalItemCf::PracticalItemCf(Options options)
 }
 
 UserHistory& PracticalItemCf::HistoryFor(UserId user) {
-  if (options_.use_flat_kernels) {
-    uint32_t& idx = history_index_[PackUser(user)];
-    if (idx == 0) {
-      // Slot ids are 1-based so the flat table's zero-initialized value
-      // means "absent"; the deque gives rows stable addresses across
-      // inserts, so returned references stay valid.
-      history_store_.emplace_back();
-      idx = static_cast<uint32_t>(history_store_.size());
-    }
-    return history_store_[idx - 1];
+  uint32_t& idx = history_index_[PackUser(user)];
+  if (idx == 0) {
+    // Slot ids are 1-based so the flat table's zero-initialized value
+    // means "absent"; the deque gives rows stable addresses across
+    // inserts, so returned references stay valid.
+    history_store_.emplace_back();
+    idx = static_cast<uint32_t>(history_store_.size());
   }
-  return histories_map_[user];
+  return history_store_[idx - 1];
 }
 
 const UserHistory* PracticalItemCf::FindHistory(UserId user) const {
-  if (options_.use_flat_kernels) {
-    const uint32_t* idx = history_index_.Find(PackUser(user));
-    return idx == nullptr ? nullptr : &history_store_[*idx - 1];
-  }
-  auto it = histories_map_.find(user);
-  return it == histories_map_.end() ? nullptr : &it->second;
+  const uint32_t* idx = history_index_.Find(PackUser(user));
+  return idx == nullptr ? nullptr : &history_store_[*idx - 1];
 }
 
 TopK<ItemId>& PracticalItemCf::ListFor(ItemId item) {
-  if (options_.use_flat_kernels) {
-    uint32_t& idx = similar_index_[PackItem(item)];
-    if (idx == 0) {
-      similar_store_.emplace_back(static_cast<size_t>(options_.top_k));
-      idx = static_cast<uint32_t>(similar_store_.size());
-    }
-    return similar_store_[idx - 1];
+  uint32_t& idx = similar_index_[PackItem(item)];
+  if (idx == 0) {
+    similar_store_.emplace_back(static_cast<size_t>(options_.top_k));
+    idx = static_cast<uint32_t>(similar_store_.size());
   }
-  return similar_map_.try_emplace(item, static_cast<size_t>(options_.top_k))
-      .first->second;
+  return similar_store_[idx - 1];
+}
+
+TopK<ItemId>* PracticalItemCf::FindList(ItemId item) {
+  const uint32_t* idx = similar_index_.Find(PackItem(item));
+  return idx == nullptr ? nullptr : &similar_store_[*idx - 1];
 }
 
 const TopK<ItemId>* PracticalItemCf::FindList(ItemId item) const {
-  if (options_.use_flat_kernels) {
-    const uint32_t* idx = similar_index_.Find(PackItem(item));
-    return idx == nullptr ? nullptr : &similar_store_[*idx - 1];
-  }
-  auto it = similar_map_.find(item);
-  return it == similar_map_.end() ? nullptr : &it->second;
-}
-
-bool PracticalItemCf::IsPrunedKey(const PairKey& key) const {
-  return options_.use_flat_kernels ? pruned_flat_.Contains(PackPair(key))
-                                   : pruned_set_.count(key) > 0;
-}
-
-void PracticalItemCf::MarkPruned(const PairKey& key) {
-  if (options_.use_flat_kernels) {
-    pruned_flat_.Insert(PackPair(key));
-  } else {
-    pruned_set_.insert(key);
-  }
-}
-
-uint32_t PracticalItemCf::BumpObservations(const PairKey& key) {
-  return options_.use_flat_kernels ? ++observations_flat_[PackPair(key)]
-                                   : ++observations_map_[key];
+  const uint32_t* idx = similar_index_.Find(PackItem(item));
+  return idx == nullptr ? nullptr : &similar_store_[*idx - 1];
 }
 
 void PracticalItemCf::ProcessAction(const UserAction& action) {
@@ -110,16 +81,14 @@ double PracticalItemCf::ThresholdOf(ItemId item) const {
 
 void PracticalItemCf::UpdatePair(ItemId i, ItemId j, double co_delta,
                                  EventTime ts) {
-  const PairKey key(i, j);
-  if (options_.use_flat_kernels) {
-    // Start the random-access misses this update will take further down —
-    // the similar-list index probes and (under pruning) the observations
-    // upsert, the largest table — so they overlap the pair-count work.
-    similar_index_.Prefetch(PackItem(i));
-    similar_index_.Prefetch(PackItem(j));
-    if (options_.enable_pruning) observations_flat_.Prefetch(PackPair(key));
-  }
-  if (options_.enable_pruning && IsPrunedKey(key)) {
+  const uint64_t key = PackPair(i, j);
+  // Start the random-access misses this update will take further down —
+  // the similar-list index probes and (under pruning) the observations
+  // upsert, the largest table — so they overlap the pair-count work.
+  similar_index_.Prefetch(PackItem(i));
+  similar_index_.Prefetch(PackItem(j));
+  if (options_.enable_pruning) observations_.Prefetch(key);
+  if (options_.enable_pruning && pruned_.Contains(key)) {
     // Algorithm 1 line 4: pruned pairs skip the whole update — this is the
     // computation the pruning exists to save.
     ++stats_.pair_updates_pruned;
@@ -138,7 +107,7 @@ void PracticalItemCf::UpdatePair(ItemId i, ItemId j, double co_delta,
 
   if (!options_.enable_pruning) return;
 
-  const uint32_t n = BumpObservations(key);
+  const uint32_t n = ++observations_[key];
   // Pruning is bidirectional: use the min threshold of the two lists
   // (Algorithm 1 line 12). Either list not yet full -> threshold 0 ->
   // nothing can be pruned (everything is still admissible).
@@ -148,7 +117,7 @@ void PracticalItemCf::UpdatePair(ItemId i, ItemId j, double co_delta,
   const double epsilon =
       std::sqrt(hoeffding_ln_inv_delta_ / (2.0 * static_cast<double>(n)));
   if (epsilon < t - sim) {
-    MarkPruned(key);
+    pruned_.Insert(key);
     ++stats_.pairs_pruned;
     // The pair can no longer enter either list; drop any stale entry. If
     // the erase shrinks a full list below K, TopK::Threshold() falls back
@@ -158,12 +127,8 @@ void PracticalItemCf::UpdatePair(ItemId i, ItemId j, double co_delta,
     // single-threaded pipeline the entry is usually absent already (its
     // own update just refreshed the score, making it the threshold), but
     // the sharded executor's racy similarity reads make the erase real.
-    if (TopK<ItemId>* li = const_cast<TopK<ItemId>*>(FindList(i))) {
-      li->Erase(j);
-    }
-    if (TopK<ItemId>* lj = const_cast<TopK<ItemId>*>(FindList(j))) {
-      lj->Erase(i);
-    }
+    if (TopK<ItemId>* li = FindList(i)) li->Erase(j);
+    if (TopK<ItemId>* lj = FindList(j)) lj->Erase(i);
   }
 }
 
@@ -217,7 +182,7 @@ Recommendations PracticalItemCf::RecommendForUser(UserId user,
 }
 
 bool PracticalItemCf::IsPruned(ItemId a, ItemId b) const {
-  return IsPrunedKey(PairKey(a, b));
+  return pruned_.Contains(PackPair(a, b));
 }
 
 }  // namespace tencentrec::core

@@ -2,8 +2,6 @@
 #define TENCENTREC_CORE_ITEMCF_ITEM_CF_H_
 
 #include <deque>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/flat_map.h"
@@ -59,14 +57,6 @@ class PracticalItemCf {
 
     /// Drop user-history entries idle longer than this (0 = keep forever).
     EventTime history_ttl = 0;
-
-    /// Selects the state kernel (DESIGN.md §15): flat open-addressing
-    /// tables over packed uint64 keys (default — the hot path), or the
-    /// original std::unordered_map/set tables. The two are bit-identical
-    /// in every output (asserted by tests/flat_kernel_test.cc); the legacy
-    /// kernel exists for that parity suite and as an escape hatch for id
-    /// spaces outside [0, 2^32) which the packed pair key cannot hold.
-    bool use_flat_kernels = true;
   };
 
   /// Counters for the ablation benches: how much work pruning saved etc.
@@ -119,37 +109,29 @@ class PracticalItemCf {
   /// saves the redundant PairCount probes of the old per-update flow.
   double EffectiveFromCounts(ItemId a, ItemId b, double pair_count) const;
 
-  /// Kernel-dispatching state accessors (flat vs legacy per
-  /// options_.use_flat_kernels).
+  /// State accessors over the slot-indexed stores below.
   UserHistory& HistoryFor(UserId user);
   const UserHistory* FindHistory(UserId user) const;
   TopK<ItemId>& ListFor(ItemId item);
+  TopK<ItemId>* FindList(ItemId item);
   const TopK<ItemId>* FindList(ItemId item) const;
-  bool IsPrunedKey(const PairKey& key) const;
-  void MarkPruned(const PairKey& key);
-  uint32_t BumpObservations(const PairKey& key);
 
   Options options_;
   double hoeffding_ln_inv_delta_ = 0.0;
 
   WindowedCounts counts_;
 
-  /// Flat kernel state: open-addressing indices into stable-address deques
-  /// for the heavy values, flat tables for the scalar counters.
+  /// Open-addressing indices (packed ids -> 1-based slots) into
+  /// stable-address deques for the heavy values, flat tables for the
+  /// scalar counters.
   FlatMap64<uint32_t> history_index_;
   std::deque<UserHistory> history_store_;
   FlatMap64<uint32_t> similar_index_;
   std::deque<TopK<ItemId>> similar_store_;
-  FlatMap64<uint32_t> observations_flat_;
-  FlatSet64 pruned_flat_;
-
-  /// Legacy kernel state (use_flat_kernels = false).
-  std::unordered_map<UserId, UserHistory> histories_map_;
-  std::unordered_map<ItemId, TopK<ItemId>> similar_map_;
   /// n_ij of Algorithm 1: observations of each pair's similarity.
-  std::unordered_map<PairKey, uint32_t, PairKeyHash> observations_map_;
-  /// L_i of Algorithm 1, stored canonically per pair.
-  std::unordered_set<PairKey, PairKeyHash> pruned_set_;
+  FlatMap64<uint32_t> observations_;
+  /// L_i of Algorithm 1, stored canonically per packed pair.
+  FlatSet64 pruned_;
 
   Stats stats_;
 };

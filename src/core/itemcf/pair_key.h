@@ -33,8 +33,8 @@ struct PairKeyHash {
 /// The canonical pair packed into one uint64 — `(lo << 32) | hi` — the key
 /// format of the flat pair tables (common/flat_map.h): one word to hash,
 /// compare, and store instead of a 16-byte struct. Requires ids in
-/// [0, 2^32) (checked; the escape hatch is the per-instance
-/// use_flat_kernels option, which falls back to the PairKey maps). The
+/// [0, 2^32) (checked; every ingest path rejects actions outside that
+/// range up front, see core::HasValidIds). The
 /// canonical lo <= hi ordering guarantees a packed pair never equals the
 /// flat tables' all-ones empty sentinel: that would need lo == hi ==
 /// 2^32-1, and the CF layers never form self-pairs.

@@ -64,8 +64,7 @@ ParallelItemCf::ParallelItemCf(Options options) : options_(std::move(options)) {
   // stream jumps across sessions (see WindowedCounts::SetDeferredEviction).
   for (int s = 0; s < options_.count_stripes; ++s) {
     auto stripe = std::make_unique<CountStripe>(options_.cf.session_length,
-                                                options_.cf.window_sessions,
-                                                options_.cf.use_flat_kernels);
+                                                options_.cf.window_sessions);
     stripe->counts.SetDeferredEviction(true);
     item_stripes_.push_back(std::move(stripe));
   }
@@ -77,8 +76,7 @@ ParallelItemCf::ParallelItemCf(Options options) : options_(std::move(options)) {
   for (int s = 0; s < options_.pair_shards; ++s) {
     auto shard = std::make_unique<PairShard>(options_.queue_capacity,
                                              options_.cf.session_length,
-                                             options_.cf.window_sessions,
-                                             options_.cf.use_flat_kernels);
+                                             options_.cf.window_sessions);
     shard->counts.SetDeferredEviction(true);
     pair_shards_.push_back(std::move(shard));
   }
@@ -222,63 +220,40 @@ void ParallelItemCf::Shutdown() {
   }
 }
 
-// --- kernel-dispatching state accessors ---------------------------------------
+// --- slot-store accessors ----------------------------------------------------
 
 UserHistory& ParallelItemCf::HistoryFor(UserShard* shard, UserId user) {
-  if (options_.cf.use_flat_kernels) {
-    uint32_t& idx = shard->history_index[PackUser(user)];
-    if (idx == 0) {
-      // 1-based slot ids so the flat table's zero value means "absent"; the
-      // deque keeps rows at stable addresses across inserts.
-      shard->history_store.emplace_back();
-      idx = static_cast<uint32_t>(shard->history_store.size());
-    }
-    return shard->history_store[idx - 1];
+  uint32_t& idx = shard->history_index[PackUser(user)];
+  if (idx == 0) {
+    // 1-based slot ids so the flat table's zero value means "absent"; the
+    // deque keeps rows at stable addresses across inserts.
+    shard->history_store.emplace_back();
+    idx = static_cast<uint32_t>(shard->history_store.size());
   }
-  return shard->histories_map[user];
+  return shard->history_store[idx - 1];
 }
 
 const UserHistory* ParallelItemCf::FindHistory(const UserShard& shard,
                                                UserId user) const {
-  if (options_.cf.use_flat_kernels) {
-    const uint32_t* idx = shard.history_index.Find(PackUser(user));
-    return idx == nullptr ? nullptr : &shard.history_store[*idx - 1];
-  }
-  auto it = shard.histories_map.find(user);
-  return it == shard.histories_map.end() ? nullptr : &it->second;
+  const uint32_t* idx = shard.history_index.Find(PackUser(user));
+  return idx == nullptr ? nullptr : &shard.history_store[*idx - 1];
 }
 
 TopK<ItemId>& ParallelItemCf::GetListLocked(ListStripe& stripe, ItemId item) {
-  const size_t k = static_cast<size_t>(options_.cf.top_k);
-  if (options_.cf.use_flat_kernels) {
-    uint32_t& idx = stripe.index[PackItem(item)];
-    if (idx == 0) {
-      stripe.store.emplace_back(k);
-      idx = static_cast<uint32_t>(stripe.store.size());
-    }
-    return stripe.store[idx - 1];
+  uint32_t& idx = stripe.index[PackItem(item)];
+  if (idx == 0) {
+    stripe.store.emplace_back(static_cast<size_t>(options_.cf.top_k));
+    idx = static_cast<uint32_t>(stripe.store.size());
   }
-  return stripe.lists_map.try_emplace(item, k).first->second;
+  return stripe.store[idx - 1];
 }
 
 TopK<ItemId>* ParallelItemCf::FindListLocked(const ListStripe& stripe,
                                              ItemId item) const {
-  if (options_.cf.use_flat_kernels) {
-    const uint32_t* idx = stripe.index.Find(PackItem(item));
-    return idx == nullptr
-               ? nullptr
-               : const_cast<TopK<ItemId>*>(&stripe.store[*idx - 1]);
-  }
-  auto it = stripe.lists_map.find(item);
-  return it == stripe.lists_map.end()
+  const uint32_t* idx = stripe.index.Find(PackItem(item));
+  return idx == nullptr
              ? nullptr
-             : const_cast<TopK<ItemId>*>(&it->second);
-}
-
-bool ParallelItemCf::IsPrunedIn(const PairShard& shard,
-                                const PairKey& key) const {
-  return options_.cf.use_flat_kernels ? shard.pruned_flat.Contains(PackPair(key))
-                                      : shard.pruned_set.count(key) > 0;
+             : const_cast<TopK<ItemId>*>(&stripe.store[*idx - 1]);
 }
 
 // --- layer 1: user-history workers -------------------------------------------
@@ -416,8 +391,8 @@ void ParallelItemCf::PairWorker(PairShard* shard) {
 void ParallelItemCf::HandlePairDelta(PairShard* shard, const PairDelta& delta,
                                      FlatMap64<double>* item_counts) {
   ScopedSpan span(delta.trace_id, "parallel_cf.count+sim");
-  const PairKey key(delta.i, delta.j);
-  if (options_.cf.enable_pruning && IsPrunedIn(*shard, key)) {
+  const uint64_t key = PackPair(delta.i, delta.j);
+  if (options_.cf.enable_pruning && shard->pruned.Contains(key)) {
     ++shard->pair_updates_pruned;
     return;
   }
@@ -445,20 +420,14 @@ void ParallelItemCf::HandlePairDelta(PairShard* shard, const PairDelta& delta,
 
   if (!options_.cf.enable_pruning) return;
 
-  const uint32_t n = options_.cf.use_flat_kernels
-                         ? ++shard->observations_flat[PackPair(key)]
-                         : ++shard->observations_map[key];
+  const uint32_t n = ++shard->observations[key];
   const double t =
       std::min(ListThresholdOf(delta.i), ListThresholdOf(delta.j));
   if (t <= 0.0) return;
   const double epsilon =
       std::sqrt(hoeffding_ln_inv_delta_ / (2.0 * static_cast<double>(n)));
   if (epsilon < t - sim) {
-    if (options_.cf.use_flat_kernels) {
-      shard->pruned_flat.Insert(PackPair(key));
-    } else {
-      shard->pruned_set.insert(key);
-    }
+    shard->pruned.Insert(key);
     ++shard->pairs_pruned;
     // Under concurrency the stale-entry erase is live (a racing update may
     // have admitted the pair with a higher snapshot score); the shrunk
@@ -580,7 +549,8 @@ Recommendations ParallelItemCf::RecommendForUser(UserId user,
 }
 
 bool ParallelItemCf::IsPruned(ItemId a, ItemId b) const {
-  return IsPrunedIn(*pair_shards_[PairShardOf(PairKey(a, b))], PairKey(a, b));
+  return pair_shards_[PairShardOf(PairKey(a, b))]->pruned.Contains(
+      PackPair(a, b));
 }
 
 void ParallelItemCf::VisitItemCounts(
@@ -595,13 +565,9 @@ void ParallelItemCf::VisitSimilarLists(
     const std::function<void(ItemId, const TopK<ItemId>&)>& visitor) const {
   for (const auto& stripe : list_stripes_) {
     std::lock_guard lock(stripe->mu);
-    if (options_.cf.use_flat_kernels) {
-      stripe->index.ForEach([&](uint64_t packed, uint32_t slot) {
-        visitor(static_cast<ItemId>(packed), stripe->store[slot - 1]);
-      });
-    } else {
-      for (const auto& [item, list] : stripe->lists_map) visitor(item, list);
-    }
+    stripe->index.ForEach([&](uint64_t packed, uint32_t slot) {
+      visitor(static_cast<ItemId>(packed), stripe->store[slot - 1]);
+    });
   }
 }
 

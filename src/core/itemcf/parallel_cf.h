@@ -9,8 +9,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/flat_map.h"
@@ -176,13 +174,11 @@ class ParallelItemCf {
     explicit UserShard(size_t queue_capacity) : queue(queue_capacity) {}
     BoundedQueue<UserMsg> queue;
     std::thread thread;
-    /// Owned exclusively by this shard's worker thread. Flat kernel: an
-    /// open-addressing index of packed user ids into 1-based slots of a
-    /// stable-address deque. Legacy kernel: the original node map. Exactly
-    /// one is populated, per Options::cf.use_flat_kernels.
+    /// Owned exclusively by this shard's worker thread: an open-addressing
+    /// index of packed user ids into 1-based slots of a stable-address
+    /// deque.
     FlatMap64<uint32_t> history_index;
     std::deque<UserHistory> history_store;
-    std::unordered_map<UserId, UserHistory> histories_map;
     int64_t actions = 0;
     uint64_t events = 0;
     uint64_t batches = 0;
@@ -196,19 +192,15 @@ class ParallelItemCf {
 
   struct PairShard {
     PairShard(size_t queue_capacity, EventTime session_length,
-              int window_sessions, bool use_flat)
-        : queue(queue_capacity),
-          counts(session_length, window_sessions, use_flat) {}
+              int window_sessions)
+        : queue(queue_capacity), counts(session_length, window_sessions) {}
     BoundedQueue<PairMsg> queue;
     std::thread thread;
     /// Owned exclusively by this shard's worker thread (pairCount side
-    /// only; itemCounts live in the shared stripes). The flat/legacy pairs
-    /// below follow Options::cf.use_flat_kernels, like UserShard's.
+    /// only; itemCounts live in the shared stripes).
     WindowedCounts counts;
-    FlatMap64<uint32_t> observations_flat;
-    FlatSet64 pruned_flat;
-    std::unordered_map<PairKey, uint32_t, PairKeyHash> observations_map;
-    std::unordered_set<PairKey, PairKeyHash> pruned_set;
+    FlatMap64<uint32_t> observations;
+    FlatSet64 pruned;
     int64_t pair_updates = 0;
     int64_t pair_updates_pruned = 0;
     int64_t pairs_pruned = 0;
@@ -221,8 +213,8 @@ class ParallelItemCf {
 
   /// Shared itemCount stripe: written by layer 1, read by layers 2+3.
   struct alignas(64) CountStripe {
-    CountStripe(EventTime session_length, int window_sessions, bool use_flat)
-        : counts(session_length, window_sessions, use_flat) {}
+    CountStripe(EventTime session_length, int window_sessions)
+        : counts(session_length, window_sessions) {}
     /// Profiled (DESIGN.md §13): cross-stage lock — written by layer 1,
     /// read by layers 2+3 — so wait time here is attributed per holder
     /// stage at /profile/contention.
@@ -231,14 +223,13 @@ class ParallelItemCf {
   };
 
   /// Shared per-item top-K list stripe: a pair update touches the lists of
-  /// both its items, which generally live on different pair shards. Flat
-  /// kernel: packed-id index into 1-based slots of a stable-address deque
+  /// both its items, which generally live on different pair shards.
+  /// Packed-id index into 1-based slots of a stable-address deque
   /// (SimilarItems hands out raw TopK pointers, so slots must never move).
   struct alignas(64) ListStripe {
     mutable ProfiledMutex mu{"parallel_cf.list_stripe"};
     FlatMap64<uint32_t> index;
     std::deque<TopK<ItemId>> store;
-    std::unordered_map<ItemId, TopK<ItemId>> lists_map;
   };
 
   /// "<metrics_scope or parallel_cf>.<stage>" — the registered stage name
@@ -263,14 +254,12 @@ class ParallelItemCf {
   void HandlePairDelta(PairShard* shard, const PairDelta& delta,
                        FlatMap64<double>* item_counts);
 
-  /// Kernel-dispatching state accessors (flat vs legacy per
-  /// options_.cf.use_flat_kernels). The *Locked list accessors require the
+  /// Slot-store accessors. The *Locked list accessors require the
   /// stripe's mutex to be held by the caller.
   UserHistory& HistoryFor(UserShard* shard, UserId user);
   const UserHistory* FindHistory(const UserShard& shard, UserId user) const;
   TopK<ItemId>& GetListLocked(ListStripe& stripe, ItemId item);
   TopK<ItemId>* FindListLocked(const ListStripe& stripe, ItemId item) const;
-  bool IsPrunedIn(const PairShard& shard, const PairKey& key) const;
 
   double ItemCountOf(ItemId item) const;
   /// ItemCountOf through a per-batch memo (see PairWorker): one stripe

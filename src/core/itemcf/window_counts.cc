@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 namespace tencentrec::core {
 
@@ -58,15 +57,13 @@ void WindowedCounts::AdvanceTo(EventTime ts) {
   // Ordered deque: every expired session sits at the front, so front-only
   // pops reclaim all of them even after out-of-order inserts.
   while (!sessions_.empty() && !InWindow(sessions_.front().id)) {
-    if (use_flat_) {
-      // Keep the incrementally-maintained totals in sync: subtract the
-      // dropped session's partials (exact — see the class comment).
-      const Session& s = sessions_.front();
-      s.items_flat.ForEach(
-          [this](uint64_t key, double c) { items_total_[key] -= c; });
-      s.pairs_flat.ForEach(
-          [this](uint64_t key, double c) { pairs_total_[key] -= c; });
-    }
+    // Keep the incrementally-maintained totals in sync: subtract the
+    // dropped session's partials (exact — see the class comment).
+    const Session& s = sessions_.front();
+    s.items_flat.ForEach(
+        [this](uint64_t key, double c) { items_total_[key] -= c; });
+    s.pairs_flat.ForEach(
+        [this](uint64_t key, double c) { pairs_total_[key] -= c; });
     sessions_.pop_front();
   }
   const int64_t floor = latest_session_ - window_sessions_ + 1;
@@ -76,56 +73,28 @@ void WindowedCounts::AdvanceTo(EventTime ts) {
 void WindowedCounts::AddItem(ItemId item, double delta, EventTime ts) {
   Session* s = SessionFor(ts);
   if (s == nullptr) return;
-  if (use_flat_) {
-    const uint64_t key = PackItem(item);
-    s->items_flat[key] += delta;
-    items_total_[key] += delta;
-  } else {
-    s->items_map[item] += delta;
-  }
+  const uint64_t key = PackItem(item);
+  s->items_flat[key] += delta;
+  items_total_[key] += delta;
 }
 
 void WindowedCounts::AddPair(ItemId a, ItemId b, double delta, EventTime ts) {
   Session* s = SessionFor(ts);
   if (s == nullptr) return;
-  if (use_flat_) {
-    const uint64_t key = PackPair(a, b);
-    s->pairs_flat[key] += delta;
-    pairs_total_[key] += delta;
-  } else {
-    s->pairs_map[PairKey(a, b)] += delta;
-  }
+  const uint64_t key = PackPair(a, b);
+  s->pairs_flat[key] += delta;
+  pairs_total_[key] += delta;
 }
 
 double WindowedCounts::ItemCount(ItemId item) const {
-  // Flat kernel: one probe of the maintained windowed total (bit-identical
-  // to the legacy sum — see the class comment). Legacy kernel: sum the
-  // live sessions; the deque only ever holds in-window sessions (AdvanceTo
-  // runs on every mutation), so the scan needs no filtering.
-  if (use_flat_) {
-    const double* v = items_total_.Find(PackItem(item));
-    return v == nullptr ? 0.0 : *v;
-  }
-  double sum = 0.0;
-  for (const auto& s : sessions_) {
-    auto it = s.items_map.find(item);
-    if (it != s.items_map.end()) sum += it->second;
-  }
-  return sum;
+  // One probe of the maintained windowed total (see the class comment).
+  const double* v = items_total_.Find(PackItem(item));
+  return v == nullptr ? 0.0 : *v;
 }
 
 double WindowedCounts::PairCount(ItemId a, ItemId b) const {
-  if (use_flat_) {
-    const double* v = pairs_total_.Find(PackPair(a, b));
-    return v == nullptr ? 0.0 : *v;
-  }
-  double sum = 0.0;
-  const PairKey key(a, b);
-  for (const auto& s : sessions_) {
-    auto it = s.pairs_map.find(key);
-    if (it != s.pairs_map.end()) sum += it->second;
-  }
-  return sum;
+  const double* v = pairs_total_.Find(PackPair(a, b));
+  return v == nullptr ? 0.0 : *v;
 }
 
 double WindowedCounts::Similarity(ItemId a, ItemId b) const {
@@ -140,51 +109,29 @@ double WindowedCounts::Similarity(ItemId a, ItemId b) const {
 }
 
 size_t WindowedCounts::TrackedItems() const {
-  if (use_flat_) {
-    FlatSet64 seen;
-    for (const auto& s : sessions_) {
-      s.items_flat.ForEach([&seen](uint64_t key, double) { seen.Insert(key); });
-    }
-    return seen.size();
-  }
-  std::unordered_set<ItemId> seen;
+  FlatSet64 seen;
   for (const auto& s : sessions_) {
-    for (const auto& [item, c] : s.items_map) seen.insert(item);
+    s.items_flat.ForEach([&seen](uint64_t key, double) { seen.Insert(key); });
   }
   return seen.size();
 }
 
 void WindowedCounts::VisitItemCounts(
     const std::function<void(ItemId, double)>& visitor) const {
-  if (use_flat_) {
-    FlatMap64<double> totals;
-    for (const auto& s : sessions_) {
-      s.items_flat.ForEach(
-          [&totals](uint64_t key, double c) { totals[key] += c; });
-    }
-    totals.ForEach([&visitor](uint64_t key, double total) {
-      visitor(static_cast<ItemId>(key), total);
-    });
-    return;
-  }
-  std::unordered_map<ItemId, double> totals;
+  FlatMap64<double> totals;
   for (const auto& s : sessions_) {
-    for (const auto& [item, c] : s.items_map) totals[item] += c;
+    s.items_flat.ForEach(
+        [&totals](uint64_t key, double c) { totals[key] += c; });
   }
-  for (const auto& [item, total] : totals) visitor(item, total);
+  totals.ForEach([&visitor](uint64_t key, double total) {
+    visitor(static_cast<ItemId>(key), total);
+  });
 }
 
 size_t WindowedCounts::TrackedPairs() const {
-  if (use_flat_) {
-    FlatSet64 seen;
-    for (const auto& s : sessions_) {
-      s.pairs_flat.ForEach([&seen](uint64_t key, double) { seen.Insert(key); });
-    }
-    return seen.size();
-  }
-  std::unordered_set<PairKey, PairKeyHash> seen;
+  FlatSet64 seen;
   for (const auto& s : sessions_) {
-    for (const auto& [pair, c] : s.pairs_map) seen.insert(pair);
+    s.pairs_flat.ForEach([&seen](uint64_t key, double) { seen.Insert(key); });
   }
   return seen.size();
 }

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <unordered_map>
 
 #include "common/clock.h"
 #include "common/flat_map.h"
@@ -22,34 +21,24 @@ namespace tencentrec::core {
 /// `window_sessions == 0` disables forgetting (cumulative counts), which is
 /// the plain incremental CF of §4.1.3.
 ///
-/// Per-session tables come in two interchangeable kernels selected at
-/// construction: open-addressing flat tables over packed uint64 keys (the
-/// default — the hot path after the DESIGN.md §15 rewrite) and the original
-/// std::unordered_map kernel, kept for flat-vs-legacy parity testing. The
-/// two produce bit-identical counts for any input stream: a per-key total
-/// is the same sum of the same deltas in the same arrival order regardless
-/// of which table holds it.
-///
-/// The flat kernel additionally maintains windowed *totals* tables updated
-/// incrementally: adds land in both the owning session table and the
-/// total, and eviction subtracts the dropped session's entries, so
+/// Per-session tables are open-addressing flat tables over packed uint64
+/// keys (DESIGN.md §15). Beside them the class maintains windowed *totals*
+/// tables updated incrementally: adds land in both the owning session table
+/// and the total, and eviction subtracts the dropped session's entries, so
 /// ItemCount/PairCount are one probe instead of one per live session.
 /// Action weights are dyadic rationals (multiples of 0.5), so every sum
 /// and the eviction subtraction are exact in double precision — the
-/// maintained total is bit-identical to the legacy kernel's
-/// sum-over-sessions for any accumulation order (asserted by
-/// tests/flat_kernel_test.cc on windowed-expiry traces). Fully-evicted
-/// keys linger as exact-0.0 entries (the tables have no tombstones);
-/// queries read them as 0.0, the same value the legacy scan returns, and
-/// TrackedItems/TrackedPairs keep scanning live sessions so zombies never
-/// inflate the tracked counts.
+/// maintained total equals the naive sum over the live sessions for any
+/// accumulation order (asserted by tests/flat_kernel_test.cc on
+/// windowed-expiry traces). Fully-evicted keys linger as exact-0.0 entries
+/// (the tables have no tombstones); queries read them as 0.0, and
+/// TrackedItems/TrackedPairs scan live sessions so zombies never inflate
+/// the tracked counts.
 class WindowedCounts {
  public:
-  WindowedCounts(EventTime session_length, int window_sessions,
-                 bool use_flat_tables = true)
+  WindowedCounts(EventTime session_length, int window_sessions)
       : session_length_(session_length < 1 ? 1 : session_length),
-        window_sessions_(window_sessions),
-        use_flat_(use_flat_tables) {}
+        window_sessions_(window_sessions) {}
 
   /// Deferred-eviction mode, for the sharded executor: events always land
   /// in their true session — even when the high-water mark has already
@@ -79,10 +68,8 @@ class WindowedCounts {
   /// Hints the cache lines AddPair/PairCount will touch for (a, b): the
   /// windowed total's slot and the newest session's slot (where in-order
   /// streams land). Batch loops call this one delta ahead so the
-  /// random-access misses overlap the current delta's work. Flat kernel
-  /// only; a no-op for the legacy tables.
+  /// random-access misses overlap the current delta's work.
   void PrefetchPair(ItemId a, ItemId b) const {
-    if (!use_flat_) return;
     const uint64_t key = PackPair(a, b);
     pairs_total_.Prefetch(key);
     if (!sessions_.empty()) sessions_.back().pairs_flat.Prefetch(key);
@@ -113,12 +100,8 @@ class WindowedCounts {
  private:
   struct Session {
     int64_t id = 0;
-    /// Exactly one kernel's tables are populated, per the owner's
-    /// use_flat_ flag; the other pair stays empty (default-constructed).
     FlatMap64<double> items_flat;
     FlatMap64<double> pairs_flat;
-    std::unordered_map<ItemId, double> items_map;
-    std::unordered_map<PairKey, double, PairKeyHash> pairs_map;
   };
 
   int64_t SessionOf(EventTime ts) const { return ts / session_length_; }
@@ -134,11 +117,10 @@ class WindowedCounts {
 
   const EventTime session_length_;
   const int window_sessions_;
-  const bool use_flat_;
   bool defer_eviction_ = false;
   int64_t latest_session_ = -1;
-  /// Flat kernel only: Σ over live sessions, maintained incrementally (see
-  /// the class comment). May hold exact-0.0 zombies for evicted keys.
+  /// Σ over live sessions, maintained incrementally (see the class
+  /// comment). May hold exact-0.0 zombies for evicted keys.
   FlatMap64<double> items_total_;
   FlatMap64<double> pairs_total_;
   /// Sessions below this id have been evicted (deferred mode only): a

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
 #include <thread>
 
 #include "common/logging.h"
@@ -14,6 +15,7 @@
 #include "tdstore/batch_writer.h"
 #include "topo/action_codec.h"
 #include "topo/blob_codec.h"
+#include "topo/bolts.h"
 #include "topo/spouts.h"
 #include "topo/topology_factory.h"
 
@@ -55,15 +57,10 @@ Status TencentRec::Init() {
 
   app_ = std::make_unique<topo::AppContext>(store_.get(), options_.app);
   admin_client_ = std::make_unique<tdstore::Client>(store_.get());
-  if (options_.app.enable_query_batching) {
-    // One shared cache for every StoreQuery (the engine's own and any
-    // per-thread ones callers build from query_cache()): sharing is what
-    // turns N concurrent identical reads into one store round-trip.
-    topo::QueryCache::Options qopts;
-    qopts.capacity = options_.app.query_cache_capacity;
-    qopts.ttl_micros = options_.app.query_cache_ttl_micros;
-    query_cache_ = std::make_shared<topo::QueryCache>(std::move(qopts));
-  }
+  // One shared cache for every StoreQuery (the engine's own and any
+  // per-thread ones callers build from query_cache()): sharing is what
+  // turns N concurrent identical reads into one store round-trip.
+  query_cache_ = topo::MakeQueryCache(options_.app);
   query_ = std::make_unique<topo::StoreQuery>(app_.get(), query_cache_);
 
   if (options_.mirror_parallel_cf) {
@@ -76,7 +73,6 @@ Status TencentRec::Init() {
     popts.cf.window_sessions = options_.app.window_sessions;
     popts.cf.enable_pruning = options_.app.enable_pruning;
     popts.cf.hoeffding_delta = options_.app.hoeffding_delta;
-    popts.cf.use_flat_kernels = options_.app.use_flat_kernels;
     popts.user_shards = options_.mirror_user_shards;
     popts.pair_shards = options_.mirror_pair_shards;
     popts.metrics_scope = "parallel_cf." + options_.app.app;
@@ -395,16 +391,14 @@ Status TencentRec::RegisterItem(core::ItemId item,
       items.push_back(item);
       TR_RETURN_IF_ERROR(admin_client_->Put(key, topo::EncodeItemList(items)));
     }
-    if (query_cache_ != nullptr) query_cache_->Invalidate(key);
+    query_cache_->Invalidate(key);
   }
   // This admin write bypasses the query tier, so evict exactly the keys it
   // rewrote — a cached NotFound for a just-registered item must not outlive
   // the registration.
-  if (query_cache_ != nullptr) {
-    query_cache_->Invalidate(app_->keys.ItemTags(item));
-    query_cache_->Invalidate("im:" + options_.app.app + ":" +
-                             std::to_string(item));
-  }
+  query_cache_->Invalidate(app_->keys.ItemTags(item));
+  query_cache_->Invalidate("im:" + options_.app.app + ":" +
+                           std::to_string(item));
   return Status::OK();
 }
 
@@ -473,21 +467,32 @@ Status TencentRec::RunTopology(
 Status TencentRec::ProcessBatch(
     const std::vector<core::UserAction>& actions,
     const std::vector<std::string>& restart_components) {
-  if (options_.app.parallelism == 0 && !actions.empty()) {
+  // The id contract (core::HasValidIds) is enforced once, here at the
+  // input: the topology's PretreatmentBolt would drop such actions too, but
+  // the mirror has no such stage and would abort on an id its packed tables
+  // cannot hold. Valid batches are passed through without a copy.
+  const std::vector<core::UserAction>* batch = &actions;
+  std::vector<core::UserAction> valid;
+  if (!std::all_of(actions.begin(), actions.end(), core::HasValidIds)) {
+    std::copy_if(actions.begin(), actions.end(), std::back_inserter(valid),
+                 core::HasValidIds);
+    topo::RejectedActionsCounter(*app_)->Add(actions.size() - valid.size());
+    batch = &valid;
+  }
+  if (options_.app.parallelism == 0 && !batch->empty()) {
     // Automatic parallelism (§7): size the keyed bolts from this batch's
     // event rate over its event-time span.
     const EventTime span = std::max<EventTime>(
         kMicrosPerSecond,
-        actions.back().timestamp - actions.front().timestamp);
+        batch->back().timestamp - batch->front().timestamp);
     const double events_per_second =
-        static_cast<double>(actions.size()) /
+        static_cast<double>(batch->size()) /
         (static_cast<double>(span) / static_cast<double>(kMicrosPerSecond));
     app_->options.parallelism = topo::SuggestParallelism(
         events_per_second, options_.auto_parallelism_event_cost_us);
     TR_LOG(kInfo, "auto parallelism: %.0f events/s -> %d instances",
            events_per_second, app_->options.parallelism);
   }
-  const std::vector<core::UserAction>* batch = &actions;
   Status run = RunTopology(
       [batch] { return std::make_unique<topo::VectorActionSpout>(batch); },
       restart_components, /*spout_parallelism=*/1);
@@ -497,13 +502,13 @@ Status TencentRec::ProcessBatch(
     if (TracingEnabled()) {
       // The spout samples its own copies, so the mirror must make its own
       // edge decision for the shard-stage spans to fire.
-      std::vector<core::UserAction> stamped = actions;
+      std::vector<core::UserAction> stamped = *batch;
       for (auto& a : stamped) {
         if (a.trace_id == 0) a.trace_id = MaybeStartTrace();
       }
       parallel_cf_->ProcessActions(stamped);
     } else {
-      parallel_cf_->ProcessActions(actions);
+      parallel_cf_->ProcessActions(*batch);
     }
     parallel_cf_->Drain();
     if (options_.mirror_checkpoint) {
@@ -521,7 +526,7 @@ Status TencentRec::ProcessBatch(
   // may have cached, so drop every entry. The TTL alone would converge too,
   // but tests (and operators) expect a finished batch to be visible on the
   // very next query.
-  if (query_cache_ != nullptr) query_cache_->Clear();
+  query_cache_->Clear();
   return run;
 }
 
@@ -588,7 +593,7 @@ Status TencentRec::ProcessFromAccess() {
       },
       {}, options_.spout_parallelism);
   if (run.ok()) TR_RETURN_IF_ERROR(CommitStoreBarrier());
-  if (query_cache_ != nullptr) query_cache_->Clear();  // batch boundary
+  query_cache_->Clear();  // batch boundary
   return run;
 }
 

@@ -132,8 +132,10 @@ class TencentRec {
   /// --- ingestion ---
 
   /// Runs one topology over `actions` (VectorActionSpout) to completion.
-  /// `restart_components` simulates worker crashes of those bolts while the
-  /// batch streams.
+  /// Actions breaking the id contract (core::HasValidIds) are dropped
+  /// before the topology or the mirror sees them, counted on
+  /// topo::RejectedActionsCounter. `restart_components` simulates worker
+  /// crashes of those bolts while the batch streams.
   Status ProcessBatch(const std::vector<core::UserAction>& actions,
                       const std::vector<std::string>& restart_components = {});
 
@@ -154,9 +156,9 @@ class TencentRec {
   /// --- queries (recommender engine) ---
   topo::StoreQuery& query() { return *query_; }
 
-  /// The shared batched-query-tier cache (nullptr when query batching is
-  /// off). Hand this to extra per-thread StoreQuery instances so concurrent
-  /// querents coalesce identical in-flight reads into one store round-trip.
+  /// The shared batched-query-tier cache. Hand this to extra per-thread
+  /// StoreQuery instances so concurrent querents coalesce identical
+  /// in-flight reads into one store round-trip.
   std::shared_ptr<topo::QueryCache> query_cache() { return query_cache_; }
 
   /// --- introspection / fault injection ---

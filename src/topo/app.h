@@ -41,9 +41,6 @@ struct AppOptions {
   int window_sessions = 0;  ///< 0 = cumulative counts
   bool enable_pruning = false;
   double hoeffding_delta = 0.05;
-  /// In-process CF state kernel (see PracticalItemCf::Options): flat
-  /// open-addressing tables (default) vs legacy std::unordered_map.
-  bool use_flat_kernels = true;
 
   // --- DB ---
   int hot_list_size = 50;
@@ -64,11 +61,9 @@ struct AppOptions {
   int combiner_interval = 64;
 
   // --- host-aware batched store I/O ---
-  /// Route combiner flushes (and other write-behind paths) through a
-  /// BatchWriter: grouped per-host Multi* calls instead of one store op per
-  /// key. Point semantics are preserved bit-for-bit; this only changes how
-  /// many server invocations carry the same ops.
-  bool enable_store_batching = true;
+  // Every bolt's writes (combiner flushes included) stage on a BatchWriter
+  // and ship as grouped per-host Multi* calls instead of one store op per
+  // key.
   /// BatchWriter auto-flush threshold (staged ops).
   size_t store_batch_max_ops = 256;
   /// BatchWriter max staging age before auto-flush; 0 = flush only on
@@ -76,13 +71,10 @@ struct AppOptions {
   int64_t store_batch_max_age_micros = 0;
 
   // --- batched query tier (read-side mirror of the write batching) ---
-  /// Route StoreQuery reads through the batched query tier: each query
-  /// plans its full key set, dedupes repeated keys, and issues grouped
-  /// MultiGets through a QueryCache (short-TTL positive + negative entries,
-  /// single-flight coalescing of concurrent identical reads). Off = the
-  /// original one-point-Get-per-key path; results are bit-identical either
-  /// way on a healthy store.
-  bool enable_query_batching = true;
+  // StoreQuery plans each query's full key set, dedupes repeated keys, and
+  // issues grouped MultiGets through a QueryCache (short-TTL positive +
+  // negative entries, single-flight coalescing of concurrent identical
+  // reads).
   /// QueryCache entry bound (key-value read results). 0 disables caching
   /// while keeping per-query dedupe and cross-thread coalescing.
   size_t query_cache_capacity = 1 << 14;

@@ -48,17 +48,13 @@ void StoreBolt::Prepare(const tstorm::TaskContext& ctx) {
   cache_ = std::make_unique<StoreCache>(client_.get(),
                                         app_->options.cache_capacity,
                                         app_->options.enable_cache);
-  if (app_->options.enable_store_batching) {
-    tdstore::BatchWriter::Options wopts;
-    wopts.max_ops = app_->options.store_batch_max_ops;
-    wopts.max_age_micros = app_->options.store_batch_max_age_micros;
-    writer_ = std::make_unique<tdstore::BatchWriter>(client_.get(), wopts);
-  } else {
-    writer_.reset();
-  }
-  // Write-behind: with batching on, every cache write stages on the writer
-  // instead of issuing a point store op per key (no-op set when batching is
-  // off). Cleanup() ships whatever the auto-flush thresholds left staged.
+  tdstore::BatchWriter::Options wopts;
+  wopts.max_ops = app_->options.store_batch_max_ops;
+  wopts.max_age_micros = app_->options.store_batch_max_age_micros;
+  writer_ = std::make_unique<tdstore::BatchWriter>(client_.get(), wopts);
+  // Write-behind: every cache write stages on the writer instead of issuing
+  // a point store op per key. Cleanup() ships whatever the auto-flush
+  // thresholds left staged.
   cache_->set_writer(writer_.get());
   // Resolve the event-to-store histogram once; a null pointer makes every
   // RecordEventToStore a branch-and-return with no clock read.
@@ -74,7 +70,6 @@ void StoreBolt::Prepare(const tstorm::TaskContext& ctx) {
 }
 
 void StoreBolt::Cleanup() {
-  if (writer_ == nullptr) return;
   Status s = writer_->Flush();
   if (!s.ok()) {
     TR_LOG(kError, "write-behind flush at cleanup failed: %s",
@@ -82,7 +77,7 @@ void StoreBolt::Cleanup() {
   }
 }
 
-Status StoreBolt::FlushCombinerBatched(Combiner* combiner) {
+Status StoreBolt::FlushCombiner(Combiner* combiner) {
   std::vector<std::pair<std::string, double>> drained;
   combiner->Drain(&drained);
   if (drained.empty()) return Status::OK();
@@ -126,14 +121,23 @@ Result<double> StoreBolt::WindowSum(
 
 // --- PretreatmentBolt -------------------------------------------------------
 
+Counter* RejectedActionsCounter(const AppContext& app) {
+  return MetricRegistry::Default().GetCounter("topo." + app.options.app +
+                                              ".rejected_actions");
+}
+
+void PretreatmentBolt::Prepare(const tstorm::TaskContext& ctx) {
+  StoreBolt::Prepare(ctx);
+  rejected_ = RejectedActionsCounter(*app_);
+}
+
 void PretreatmentBolt::Execute(const tstorm::Tuple& input,
                                const tstorm::TupleSource& source,
                                tstorm::OutputCollector& out) {
   (void)source;
   auto action = ActionFromTuple(input);
-  if (!action.ok() || action->user <= 0 || action->item <= 0 ||
-      action->timestamp < 0) {
-    ++dropped_;
+  if (!action.ok() || !core::HasValidIds(*action)) {
+    rejected_->Add();
     return;
   }
   ScopedSpan span(action->trace_id, span_name_);
@@ -252,11 +256,7 @@ void ItemCountBolt::Tick(tstorm::OutputCollector& out) {
   const uint64_t flush_trace = oldest_pending_trace_;
   ScopedSpan span(flush_trace, flush_span_name_);
   oldest_pending_trace_ = 0;
-  Status s = writer_ != nullptr
-                 ? FlushCombinerBatched(&combiner_)
-                 : combiner_.Flush([&](const std::string& key, double delta) {
-                     return cache_->AddDouble(key, delta).status();
-                   });
+  Status s = FlushCombiner(&combiner_);
   if (!s.ok()) {
     TR_LOG(kError, "itemCount flush failed: %s", s.ToString().c_str());
     return;
@@ -476,11 +476,7 @@ void GroupCountBolt::Tick(tstorm::OutputCollector& out) {
   const uint64_t flush_trace = oldest_pending_trace_;
   ScopedSpan span(flush_trace, flush_span_name_);
   oldest_pending_trace_ = 0;
-  Status s = writer_ != nullptr
-                 ? FlushCombinerBatched(&combiner_)
-                 : combiner_.Flush([&](const std::string& key, double delta) {
-                     return cache_->AddDouble(key, delta).status();
-                   });
+  Status s = FlushCombiner(&combiner_);
   if (!s.ok()) {
     TR_LOG(kError, "group count flush failed: %s", s.ToString().c_str());
     return;
@@ -589,11 +585,7 @@ void CtrStatsBolt::Tick(tstorm::OutputCollector& out) {
   const uint64_t flush_trace = oldest_pending_trace_;
   ScopedSpan span(flush_trace, flush_span_name_);
   oldest_pending_trace_ = 0;
-  Status s = writer_ != nullptr
-                 ? FlushCombinerBatched(&combiner_)
-                 : combiner_.Flush([&](const std::string& key, double delta) {
-                     return cache_->AddDouble(key, delta).status();
-                   });
+  Status s = FlushCombiner(&combiner_);
   if (!s.ok()) {
     TR_LOG(kError, "ctr flush failed: %s", s.ToString().c_str());
     return;

@@ -36,18 +36,15 @@ class StoreBolt : public tstorm::IBolt {
 
   const StoreCache::Stats& cache_stats() const { return cache_->stats(); }
 
-  /// Write-behind batch writer, or nullptr when store batching is off.
-  tdstore::BatchWriter* batch_writer() const { return writer_.get(); }
-
  protected:
   const AppOptions& options() const { return app_->options; }
   const Keys& keys() const { return app_->keys; }
 
   /// Ships `combiner`'s whole buffer through the batch writer: one grouped
   /// per-host store call per op kind instead of an AddDouble round trip per
-  /// key. Keys whose write fails are re-buffered into the combiner, keeping
-  /// the point path's at-least-once behavior. Requires batching enabled.
-  Status FlushCombinerBatched(Combiner* combiner);
+  /// key. Keys whose write fails are re-buffered into the combiner
+  /// (at-least-once: the next flush retries them).
+  Status FlushCombiner(Combiner* combiner);
 
   /// Sliding-window sum of a per-session double counter (Eq. 10 read side):
   /// sums `key_of(session)` over the window ending at the session of `now`.
@@ -104,8 +101,15 @@ class StoreBolt : public tstorm::IBolt {
   std::string flush_span_name_;
 };
 
+/// The /vars counter ("topo.<app>.rejected_actions") of actions dropped at
+/// the input: undecodable, or breaking the id contract of
+/// core::HasValidIds. PretreatmentBolt and TencentRec::ProcessBatch share
+/// it, and each rejected action is counted once.
+Counter* RejectedActionsCounter(const AppContext& app);
+
 /// Preprocessing layer (Fig. 6): parses and validates raw action tuples,
-/// drops unqualified ones, forwards the rest. Application Common Unit.
+/// drops unqualified ones (counted on RejectedActionsCounter), forwards the
+/// rest. Application Common Unit.
 class PretreatmentBolt : public StoreBolt {
  public:
   explicit PretreatmentBolt(const AppContext* app) : StoreBolt(app) {}
@@ -114,13 +118,12 @@ class PretreatmentBolt : public StoreBolt {
     return {ActionStreamDecl("user_action")};
   }
 
+  void Prepare(const tstorm::TaskContext& ctx) override;
   void Execute(const tstorm::Tuple& input, const tstorm::TupleSource& source,
                tstorm::OutputCollector& out) override;
 
-  int64_t dropped() const { return dropped_; }
-
  private:
-  int64_t dropped_ = 0;
+  Counter* rejected_ = nullptr;
 };
 
 /// Layer 1 of the multi-layer CF (Fig. 4): grouped by user id, owns the

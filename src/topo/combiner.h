@@ -2,20 +2,17 @@
 #define TENCENTREC_TOPO_COMBINER_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "common/status.h"
-
 namespace tencentrec::topo {
 
 /// The combiner of §5.3 (hot item problem): a map buffering incoming tuples
 /// and partially merging those with the same key, so that one expensive
-/// TDStore write replaces many. Flush() is called from the bolt's Tick()
-/// (the "predefined intervals") and before end-of-stream.
+/// TDStore write replaces many. The bolt drains it from Tick() (the
+/// "predefined intervals") and before end-of-stream.
 ///
 /// Under a temporal burst the same hot key is hit over and over inside one
 /// interval, so the combine ratio — and the saving — *increases* exactly
@@ -24,7 +21,7 @@ class Combiner {
  public:
   struct Stats {
     int64_t added = 0;    ///< tuples absorbed
-    int64_t flushed = 0;  ///< store writes issued
+    int64_t flushed = 0;  ///< entries drained toward the store
   };
 
   /// Merges `delta` into the buffered value for `key` (combine op = add).
@@ -33,24 +30,10 @@ class Combiner {
     ++stats_.added;
   }
 
-  /// Drains the buffer through `write` (one call per distinct key). Stops
-  /// at the first error, leaving undrained entries buffered.
-  Status Flush(
-      const std::function<Status(const std::string& key, double delta)>&
-          write) {
-    for (auto it = buffer_.begin(); it != buffer_.end();) {
-      Status s = write(it->first, it->second);
-      if (!s.ok()) return s;
-      ++stats_.flushed;
-      it = buffer_.erase(it);
-    }
-    return Status::OK();
-  }
-
-  /// Moves the whole buffer out at once (the batched-flush path: the caller
-  /// ships entries through a BatchWriter and re-Adds any that fail, keeping
-  /// the at-least-once story of Flush). Every drained entry counts as
-  /// flushed.
+  /// Moves the whole buffer out at once: the caller ships the entries
+  /// through a BatchWriter and re-Adds any whose write fails, so a failed
+  /// key is retried at the next flush (at-least-once). Every drained entry
+  /// counts as flushed.
   void Drain(std::vector<std::pair<std::string, double>>* out) {
     out->clear();
     out->reserve(buffer_.size());

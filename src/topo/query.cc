@@ -16,8 +16,8 @@ namespace {
 /// Flat, range-addressed key plan of one batched query: callers append the
 /// session keys of each windowed counter they will need, fetch the whole
 /// plan with ONE deduped grouped read, then reduce each counter's range to
-/// its window sum. Summation runs in session order (first..last), exactly
-/// like the unbatched point loop, so sums are bit-identical.
+/// its window sum. Summation runs in session order (first..last), the
+/// order a point read per session would add them in.
 struct WindowPlan {
   struct Range {
     size_t begin = 0;
@@ -60,23 +60,21 @@ struct WindowPlan {
 
 }  // namespace
 
+std::shared_ptr<QueryCache> MakeQueryCache(const AppOptions& options) {
+  QueryCache::Options copts;
+  copts.capacity = options.query_cache_capacity;
+  copts.ttl_micros = options.query_cache_ttl_micros;
+  return std::make_shared<QueryCache>(std::move(copts));
+}
+
 StoreQuery::StoreQuery(const AppContext* app) : StoreQuery(app, nullptr) {}
 
 StoreQuery::StoreQuery(const AppContext* app,
                        std::shared_ptr<QueryCache> cache)
     : app_(app),
       client_(std::make_unique<tdstore::Client>(app->store)),
-      batched_(app->options.enable_query_batching) {
-  if (batched_) {
-    if (cache != nullptr) {
-      cache_ = std::move(cache);
-    } else {
-      QueryCache::Options copts;
-      copts.capacity = app_->options.query_cache_capacity;
-      copts.ttl_micros = app_->options.query_cache_ttl_micros;
-      cache_ = std::make_shared<QueryCache>(std::move(copts));
-    }
-  }
+      cache_(cache != nullptr ? std::move(cache)
+                              : MakeQueryCache(app->options)) {
   if (MetricsEnabled()) {
     auto& reg = MetricRegistry::Default();
     fetch_keys_ = reg.GetHistogram("topo.query.fetch_keys");
@@ -93,29 +91,13 @@ Status StoreQuery::FetchMany(const std::vector<std::string>& keys,
                              std::vector<Result<std::string>>* out) {
   if (fetch_keys_ != nullptr) fetch_keys_->Record(keys.size());
   ScopedLatencyTimer timer(fetch_us_);
-  if (cache_ != nullptr) {
-    return cache_->GetBatch(
-        keys,
-        [this](const std::vector<std::string>& k,
-               std::vector<Result<std::string>>* o) {
-          return client_->MultiGetBatch(k, o);
-        },
-        out);
-  }
-  // No cache layer: still honor the plan's dedupe contract before the
-  // grouped read.
-  std::vector<std::string> uniq;
-  std::unordered_map<std::string, size_t> index;
-  uniq.reserve(keys.size());
-  for (const std::string& k : keys) {
-    if (index.emplace(k, uniq.size()).second) uniq.push_back(k);
-  }
-  std::vector<Result<std::string>> fetched;
-  TR_RETURN_IF_ERROR(client_->MultiGetBatch(uniq, &fetched));
-  out->clear();
-  out->reserve(keys.size());
-  for (const std::string& k : keys) out->push_back(fetched[index.at(k)]);
-  return Status::OK();
+  return cache_->GetBatch(
+      keys,
+      [this](const std::vector<std::string>& k,
+             std::vector<Result<std::string>>* o) {
+        return client_->MultiGetBatch(k, o);
+      },
+      out);
 }
 
 Result<std::string> StoreQuery::FetchOne(const std::string& key) {
@@ -125,32 +107,17 @@ Result<std::string> StoreQuery::FetchOne(const std::string& key) {
   return std::move(out[0]);
 }
 
-Result<std::string> StoreQuery::ReadBlob(const std::string& key) {
-  return batched_ ? FetchOne(key) : client_->Get(key);
-}
-
 Result<double> StoreQuery::WindowSum(
     const std::function<std::string(int64_t session)>& key_of, EventTime now) {
-  if (batched_) {
-    WindowPlan plan(app_, now);
-    const WindowPlan::Range range = plan.Add(key_of);
-    std::vector<Result<std::string>> vals;
-    TR_RETURN_IF_ERROR(FetchMany(plan.keys, &vals));
-    return WindowPlan::SumOf(vals, range);
-  }
-  const int64_t last = app_->SessionOf(now);
-  const int64_t first = app_->WindowStart(now);
-  double sum = 0.0;
-  for (int64_t s = first; s <= last; ++s) {
-    auto v = client_->GetDouble(key_of(s), 0.0);
-    if (!v.ok()) return v.status();
-    sum += *v;
-  }
-  return sum;
+  WindowPlan plan(app_, now);
+  const WindowPlan::Range range = plan.Add(key_of);
+  std::vector<Result<std::string>> vals;
+  TR_RETURN_IF_ERROR(FetchMany(plan.keys, &vals));
+  return WindowPlan::SumOf(vals, range);
 }
 
 Result<core::UserHistory> StoreQuery::LoadHistory(core::UserId user) {
-  auto blob = ReadBlob(app_->keys.UserHistory(user));
+  auto blob = FetchOne(app_->keys.UserHistory(user));
   if (!blob.ok()) {
     if (blob.status().IsNotFound()) return core::UserHistory();
     return blob.status();
@@ -173,43 +140,32 @@ Result<double> StoreQuery::WindowPairCount(core::ItemId a, core::ItemId b,
 
 Result<double> StoreQuery::SimilarityFromCounts(core::ItemId a, core::ItemId b,
                                                 EventTime now) {
-  if (batched_) {
-    // Both item counts and the pair count planned as one deduped fetch.
-    WindowPlan plan(app_, now);
-    const auto ra =
-        plan.Add([&](int64_t s) { return app_->keys.ItemCount(s, a); });
-    const auto rb =
-        plan.Add([&](int64_t s) { return app_->keys.ItemCount(s, b); });
-    const core::ItemId lo = std::min(a, b);
-    const core::ItemId hi = std::max(a, b);
-    const auto rp =
-        plan.Add([&](int64_t s) { return app_->keys.PairCount(s, lo, hi); });
-    std::vector<Result<std::string>> vals;
-    TR_RETURN_IF_ERROR(FetchMany(plan.keys, &vals));
-    auto ca = WindowPlan::SumOf(vals, ra);
-    if (!ca.ok()) return ca.status();
-    auto cb = WindowPlan::SumOf(vals, rb);
-    if (!cb.ok()) return cb.status();
-    if (*ca <= 0.0 || *cb <= 0.0) return 0.0;
-    auto pc = WindowPlan::SumOf(vals, rp);
-    if (!pc.ok()) return pc.status();
-    if (*pc <= 0.0) return 0.0;
-    return *pc / (std::sqrt(*ca) * std::sqrt(*cb));
-  }
-  auto ca = WindowItemCount(a, now);
+  // Both item counts and the pair count planned as one deduped fetch.
+  WindowPlan plan(app_, now);
+  const auto ra =
+      plan.Add([&](int64_t s) { return app_->keys.ItemCount(s, a); });
+  const auto rb =
+      plan.Add([&](int64_t s) { return app_->keys.ItemCount(s, b); });
+  const core::ItemId lo = std::min(a, b);
+  const core::ItemId hi = std::max(a, b);
+  const auto rp =
+      plan.Add([&](int64_t s) { return app_->keys.PairCount(s, lo, hi); });
+  std::vector<Result<std::string>> vals;
+  TR_RETURN_IF_ERROR(FetchMany(plan.keys, &vals));
+  auto ca = WindowPlan::SumOf(vals, ra);
   if (!ca.ok()) return ca.status();
-  auto cb = WindowItemCount(b, now);
+  auto cb = WindowPlan::SumOf(vals, rb);
   if (!cb.ok()) return cb.status();
   if (*ca <= 0.0 || *cb <= 0.0) return 0.0;
-  auto pc = WindowPairCount(a, b, now);
+  auto pc = WindowPlan::SumOf(vals, rp);
   if (!pc.ok()) return pc.status();
   if (*pc <= 0.0) return 0.0;
   return *pc / (std::sqrt(*ca) * std::sqrt(*cb));
 }
 
-Result<core::Recommendations> StoreQuery::RecommendCfBatched(core::UserId user,
-                                                             size_t n,
-                                                             EventTime now) {
+Result<core::Recommendations> StoreQuery::RecommendCf(core::UserId user,
+                                                      size_t n,
+                                                      EventTime now) {
   auto history = LoadHistory(user);
   if (!history.ok()) return history.status();
   const int recent_k = app_->options.recent_k;
@@ -217,6 +173,13 @@ Result<core::Recommendations> StoreQuery::RecommendCfBatched(core::UserId user,
       recent_k > 0 ? static_cast<size_t>(recent_k) : history->size());
   if (recent.empty()) return core::Recommendations{};
 
+  // The sim:<item> lists are the candidate index; scores are recomputed
+  // from the *current* windowed counts (the "algorithm computation part
+  // reads statistical data from TDStore" split of §5.1). This also heals
+  // any staleness from the decoupled statistics paths — a pair whose
+  // similarity was computed before the itemCount combiner flushed scores
+  // correctly here.
+  //
   // Stage 1: every sim:<q> candidate list in one deduped grouped read.
   std::vector<std::string> sim_keys;
   sim_keys.reserve(recent.size());
@@ -272,9 +235,10 @@ Result<core::Recommendations> StoreQuery::RecommendCfBatched(core::UserId user,
     item_count.emplace(item, WindowPlan::SumOf(vals, range));
   }
 
-  // Scoring is the unbatched loop verbatim, except that a transient per-key
-  // store error drops only the affected candidate (PR 4's per-key-status
-  // semantics) instead of failing the whole recommendation.
+  // Eq. 2 over the recent items, with a log1p(Σ sim) confidence boost. A
+  // transient per-key store error drops only the affected candidate (the
+  // per-key-status semantics of the batched client) instead of failing the
+  // whole recommendation.
   core::Recommendations scored;
   scored.reserve(cand_recents.size());
   for (const auto& [p, qs] : cand_recents) {
@@ -322,84 +286,10 @@ Result<core::Recommendations> StoreQuery::RecommendCfBatched(core::UserId user,
   return scored;
 }
 
-Result<core::Recommendations> StoreQuery::RecommendCf(core::UserId user,
-                                                      size_t n,
-                                                      EventTime now) {
-  if (batched_) return RecommendCfBatched(user, n, now);
-  auto history = LoadHistory(user);
-  if (!history.ok()) return history.status();
-  const int recent_k = app_->options.recent_k;
-  const std::vector<core::ItemId> recent = history->RecentItems(
-      recent_k > 0 ? static_cast<size_t>(recent_k) : history->size());
-  if (recent.empty()) return core::Recommendations{};
-
-  // The sim:<item> lists are the candidate index; scores are recomputed
-  // from the *current* windowed counts (the "algorithm computation part
-  // reads statistical data from TDStore" split of §5.1). This also heals
-  // any staleness from the decoupled statistics paths — a pair whose
-  // similarity was computed before the itemCount combiner flushed scores
-  // correctly here.
-  std::unordered_map<core::ItemId, std::vector<core::ItemId>> cand_recents;
-  for (core::ItemId q : recent) {
-    auto blob = client_->Get(app_->keys.SimilarItems(q));
-    if (!blob.ok()) {
-      if (blob.status().IsNotFound()) continue;
-      return blob.status();
-    }
-    auto list = DecodeScoredList(*blob);
-    if (!list.ok()) return list.status();
-    for (const auto& entry : *list) {
-      if (history->RatingOf(entry.item) > 0.0) continue;  // already rated
-      cand_recents[entry.item].push_back(q);
-    }
-  }
-
-  // Memoize windowed item counts: candidates share the recent items.
-  std::unordered_map<core::ItemId, double> item_counts;
-  auto count_of = [&](core::ItemId item) -> Result<double> {
-    auto it = item_counts.find(item);
-    if (it != item_counts.end()) return it->second;
-    auto c = WindowItemCount(item, now);
-    if (!c.ok()) return c.status();
-    item_counts[item] = *c;
-    return *c;
-  };
-
-  core::Recommendations scored;
-  scored.reserve(cand_recents.size());
-  for (const auto& [p, qs] : cand_recents) {
-    auto cp = count_of(p);
-    if (!cp.ok()) return cp.status();
-    if (*cp <= 0.0) continue;
-    double num = 0.0;
-    double den = 0.0;
-    for (core::ItemId q : qs) {
-      auto cq = count_of(q);
-      if (!cq.ok()) return cq.status();
-      if (*cq <= 0.0) continue;
-      auto pc = WindowPairCount(p, q, now);
-      if (!pc.ok()) return pc.status();
-      if (*pc <= 0.0) continue;
-      const double sim = *pc / (std::sqrt(*cp) * std::sqrt(*cq));
-      num += sim * history->RatingOf(q);
-      den += sim;
-    }
-    if (den <= 0.0) continue;
-    scored.push_back({p, (num / den) * (1.0 + std::log1p(den))});
-  }
-  std::sort(scored.begin(), scored.end(),
-            [](const core::ScoredItem& a, const core::ScoredItem& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.item < b.item;
-            });
-  if (scored.size() > n) scored.resize(n);
-  return scored;
-}
-
 Result<core::Recommendations> StoreQuery::HotItems(core::GroupId group,
                                                    size_t n, EventTime now) {
   (void)now;
-  auto blob = ReadBlob(app_->keys.HotList(group));
+  auto blob = FetchOne(app_->keys.HotList(group));
   if (!blob.ok()) {
     if (blob.status().IsNotFound()) {
       if (group == 0) return core::Recommendations{};
@@ -448,9 +338,9 @@ Result<core::Recommendations> StoreQuery::Recommend(
   return out;
 }
 
-Result<core::Recommendations> StoreQuery::RecommendCbBatched(core::UserId user,
-                                                             size_t n,
-                                                             EventTime now) {
+Result<core::Recommendations> StoreQuery::RecommendCb(core::UserId user,
+                                                      size_t n,
+                                                      EventTime now) {
   auto blob = FetchOne(app_->keys.ContentProfile(user));
   if (!blob.ok()) {
     if (blob.status().IsNotFound()) return core::Recommendations{};
@@ -486,8 +376,8 @@ Result<core::Recommendations> StoreQuery::RecommendCbBatched(core::UserId user,
   TR_RETURN_IF_ERROR(FetchMany(idx_keys, &idx_blobs));
 
   // Unseen candidate items, first-seen order; an item appearing in K tag
-  // indexes is planned (and fetched) once — the plan's dedupe IS the miss
-  // memo the unbatched path needs for deregistered items.
+  // indexes is planned (and fetched) once, so a deregistered item costs one
+  // NotFound however many indexes still list it.
   std::vector<core::ItemId> candidates;
   std::unordered_set<core::ItemId> planned;
   for (size_t t = 0; t < idx_blobs.size(); ++t) {
@@ -553,97 +443,10 @@ Result<core::Recommendations> StoreQuery::RecommendCbBatched(core::UserId user,
   return scored;
 }
 
-Result<core::Recommendations> StoreQuery::RecommendCb(core::UserId user,
-                                                      size_t n,
-                                                      EventTime now) {
-  if (batched_) return RecommendCbBatched(user, n, now);
-  auto blob = client_->Get(app_->keys.ContentProfile(user));
-  if (!blob.ok()) {
-    if (blob.status().IsNotFound()) return core::Recommendations{};
-    return blob.status();
-  }
-  auto profile = DecodeContentProfile(*blob);
-  if (!profile.ok()) return profile.status();
-
-  double factor = 1.0;
-  if (now > profile->last_update && app_->options.profile_half_life > 0) {
-    const double lambda =
-        std::log(2.0) / static_cast<double>(app_->options.profile_half_life);
-    factor =
-        std::exp(-lambda * static_cast<double>(now - profile->last_update));
-  }
-  double profile_norm2 = 0.0;
-  for (const auto& [tag, w] : profile->weights) {
-    profile_norm2 += (w * factor) * (w * factor);
-  }
-  if (profile_norm2 <= 0.0) return core::Recommendations{};
-  const double profile_norm = std::sqrt(profile_norm2);
-
-  auto history = LoadHistory(user);
-  if (!history.ok()) return history.status();
-
-  // Candidate items via the tag inverted index; dot products accumulated
-  // tag by tag.
-  std::unordered_map<core::ItemId, double> dots;
-  std::unordered_map<core::ItemId, double> norms;
-  // Items whose tag vector came back NotFound (deregistered). Memoized so a
-  // dead item appearing in K tag indexes costs ONE store read, not K.
-  std::unordered_set<core::ItemId> deregistered;
-  for (const auto& [tag, w] : profile->weights) {
-    auto idx_blob = client_->Get(app_->keys.TagIndex(tag));
-    if (!idx_blob.ok()) {
-      if (idx_blob.status().IsNotFound()) continue;
-      return idx_blob.status();
-    }
-    auto items = DecodeItemList(*idx_blob);
-    if (!items.ok()) return items.status();
-    for (core::ItemId item : *items) {
-      if (history->RatingOf(item) > 0.0) continue;  // seen
-      if (norms.count(item) == 0 && deregistered.count(item) == 0) {
-        auto tags_blob = client_->Get(app_->keys.ItemTags(item));
-        if (!tags_blob.ok()) {
-          if (tags_blob.status().IsNotFound()) {
-            deregistered.insert(item);
-            continue;
-          }
-          return tags_blob.status();
-        }
-        auto tags = DecodeTagVector(*tags_blob);
-        if (!tags.ok()) return tags.status();
-        double norm2 = 0.0;
-        double dot = 0.0;
-        for (const auto& [t2, w2] : *tags) {
-          norm2 += w2 * w2;
-          // Accumulate the full dot product here (once per item) instead of
-          // per tag-index hit.
-          for (const auto& [pt, pw] : profile->weights) {
-            if (pt == t2) dot += (pw * factor) * w2;
-          }
-        }
-        norms[item] = std::sqrt(norm2);
-        dots[item] = dot;
-      }
-    }
-  }
-
-  core::Recommendations scored;
-  for (const auto& [item, dot] : dots) {
-    const double norm = norms[item];
-    if (norm <= 0.0 || dot <= 0.0) continue;
-    scored.push_back({item, dot / (profile_norm * norm)});
-  }
-  std::sort(scored.begin(), scored.end(),
-            [](const core::ScoredItem& a, const core::ScoredItem& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.item < b.item;
-            });
-  if (scored.size() > n) scored.resize(n);
-  return scored;
-}
-
-Result<core::Recommendations> StoreQuery::RecommendArBatched(
-    core::ItemId from, size_t n, EventTime now, double min_support,
-    double min_confidence) {
+Result<core::Recommendations> StoreQuery::RecommendAr(core::ItemId from,
+                                                      size_t n, EventTime now,
+                                                      double min_support,
+                                                      double min_confidence) {
   auto blob = FetchOne(app_->keys.SimilarItems(from));
   if (!blob.ok()) {
     if (blob.status().IsNotFound()) return core::Recommendations{};
@@ -692,85 +495,31 @@ Result<core::Recommendations> StoreQuery::RecommendArBatched(
   return scored;
 }
 
-Result<core::Recommendations> StoreQuery::RecommendAr(core::ItemId from,
-                                                      size_t n, EventTime now,
-                                                      double min_support,
-                                                      double min_confidence) {
-  if (batched_) {
-    return RecommendArBatched(from, n, now, min_support, min_confidence);
-  }
-  auto blob = client_->Get(app_->keys.SimilarItems(from));
-  if (!blob.ok()) {
-    if (blob.status().IsNotFound()) return core::Recommendations{};
-    return blob.status();
-  }
-  auto list = DecodeScoredList(*blob);
-  if (!list.ok()) return list.status();
-
-  auto base = WindowItemCount(from, now);
-  if (!base.ok()) return base.status();
-  if (*base <= 0.0) return core::Recommendations{};
-
-  core::Recommendations scored;
-  for (const auto& entry : *list) {
-    auto joint = WindowPairCount(from, entry.item, now);
-    if (!joint.ok()) return joint.status();
-    if (*joint < min_support) continue;
-    const double conf = *joint / *base;
-    if (conf < min_confidence) continue;
-    scored.push_back({entry.item, conf});
-  }
-  std::sort(scored.begin(), scored.end(),
-            [](const core::ScoredItem& a, const core::ScoredItem& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.item < b.item;
-            });
-  if (scored.size() > n) scored.resize(n);
-  return scored;
-}
-
 Result<double> StoreQuery::PredictCtr(core::ItemId item,
                                       const core::Demographics& d,
                                       EventTime now) {
   const int max_level = core::CtrMaxLevel(d);
-  if (batched_) {
-    // All levels' impression/click windows in one deduped grouped read; the
-    // shrinkage recursion then runs store-free.
-    WindowPlan plan(app_, now);
-    std::vector<WindowPlan::Range> imp_ranges;
-    std::vector<WindowPlan::Range> click_ranges;
-    for (int level = 0; level <= max_level; ++level) {
-      const uint64_t level_key = core::CtrLevelKey(item, level, d);
-      imp_ranges.push_back(plan.Add([&](int64_t s) {
-        return app_->keys.CtrCounts(level_key, s) + ":i";
-      }));
-      click_ranges.push_back(plan.Add([&](int64_t s) {
-        return app_->keys.CtrCounts(level_key, s) + ":c";
-      }));
-    }
-    std::vector<Result<std::string>> vals;
-    TR_RETURN_IF_ERROR(FetchMany(plan.keys, &vals));
-    double estimate = app_->options.ctr_base;
-    for (int level = 0; level <= max_level; ++level) {
-      auto imp = WindowPlan::SumOf(vals, imp_ranges[level]);
-      if (!imp.ok()) return imp.status();
-      auto clicks = WindowPlan::SumOf(vals, click_ranges[level]);
-      if (!clicks.ok()) return clicks.status();
-      estimate = (*clicks + app_->options.ctr_prior_strength * estimate) /
-                 (*imp + app_->options.ctr_prior_strength);
-    }
-    return estimate;
-  }
-  double estimate = app_->options.ctr_base;
+  // All levels' impression/click windows in one deduped grouped read; the
+  // shrinkage recursion then runs store-free.
+  WindowPlan plan(app_, now);
+  std::vector<WindowPlan::Range> imp_ranges;
+  std::vector<WindowPlan::Range> click_ranges;
   for (int level = 0; level <= max_level; ++level) {
     const uint64_t level_key = core::CtrLevelKey(item, level, d);
-    auto imp = WindowSum(
-        [&](int64_t s) { return app_->keys.CtrCounts(level_key, s) + ":i"; },
-        now);
+    imp_ranges.push_back(plan.Add([&](int64_t s) {
+      return app_->keys.CtrCounts(level_key, s) + ":i";
+    }));
+    click_ranges.push_back(plan.Add([&](int64_t s) {
+      return app_->keys.CtrCounts(level_key, s) + ":c";
+    }));
+  }
+  std::vector<Result<std::string>> vals;
+  TR_RETURN_IF_ERROR(FetchMany(plan.keys, &vals));
+  double estimate = app_->options.ctr_base;
+  for (int level = 0; level <= max_level; ++level) {
+    auto imp = WindowPlan::SumOf(vals, imp_ranges[level]);
     if (!imp.ok()) return imp.status();
-    auto clicks = WindowSum(
-        [&](int64_t s) { return app_->keys.CtrCounts(level_key, s) + ":c"; },
-        now);
+    auto clicks = WindowPlan::SumOf(vals, click_ranges[level]);
     if (!clicks.ok()) return clicks.status();
     estimate = (*clicks + app_->options.ctr_prior_strength * estimate) /
                (*imp + app_->options.ctr_prior_strength);
@@ -782,36 +531,23 @@ Result<std::pair<double, double>> StoreQuery::SituationCounts(
     core::ItemId item, const core::Demographics& d, EventTime now) {
   const uint64_t level_key =
       core::CtrLevelKey(item, core::CtrMaxLevel(d), d);
-  if (batched_) {
-    WindowPlan plan(app_, now);
-    const auto ri = plan.Add([&](int64_t s) {
-      return app_->keys.CtrCounts(level_key, s) + ":i";
-    });
-    const auto rc = plan.Add([&](int64_t s) {
-      return app_->keys.CtrCounts(level_key, s) + ":c";
-    });
-    std::vector<Result<std::string>> vals;
-    TR_RETURN_IF_ERROR(FetchMany(plan.keys, &vals));
-    auto imp = WindowPlan::SumOf(vals, ri);
-    if (!imp.ok()) return imp.status();
-    auto clicks = WindowPlan::SumOf(vals, rc);
-    if (!clicks.ok()) return clicks.status();
-    return std::make_pair(*imp, *clicks);
-  }
-  auto imp = WindowSum(
-      [&](int64_t s) { return app_->keys.CtrCounts(level_key, s) + ":i"; },
-      now);
+  WindowPlan plan(app_, now);
+  const auto ri = plan.Add(
+      [&](int64_t s) { return app_->keys.CtrCounts(level_key, s) + ":i"; });
+  const auto rc = plan.Add(
+      [&](int64_t s) { return app_->keys.CtrCounts(level_key, s) + ":c"; });
+  std::vector<Result<std::string>> vals;
+  TR_RETURN_IF_ERROR(FetchMany(plan.keys, &vals));
+  auto imp = WindowPlan::SumOf(vals, ri);
   if (!imp.ok()) return imp.status();
-  auto clicks = WindowSum(
-      [&](int64_t s) { return app_->keys.CtrCounts(level_key, s) + ":c"; },
-      now);
+  auto clicks = WindowPlan::SumOf(vals, rc);
   if (!clicks.ok()) return clicks.status();
   return std::make_pair(*imp, *clicks);
 }
 
 Result<core::Recommendations> StoreQuery::MaterializedResults(
     core::UserId user) {
-  auto blob = ReadBlob(app_->keys.Results(user));
+  auto blob = FetchOne(app_->keys.Results(user));
   if (!blob.ok()) {
     if (blob.status().IsNotFound()) return core::Recommendations{};
     return blob.status();

@@ -14,20 +14,23 @@
 
 namespace tencentrec::topo {
 
+/// A QueryCache sized from the app's query_cache_* options.
+std::shared_ptr<QueryCache> MakeQueryCache(const AppOptions& options);
+
 /// The recommender-engine read path (Fig. 9): answers recommendation
 /// queries purely from the state the topology maintains in TDStore. This is
 /// what the "Recommender Engine" box does — it never touches the stream
 /// pipeline, so queries scale independently of ingestion.
 ///
-/// With `AppOptions::enable_query_batching` (the default) every query plans
-/// its full key set up front — all session keys for all candidate
-/// items/pairs, similar-item lists, tag indexes, item tags — dedupes
-/// repeated keys, and issues grouped MultiGets through a QueryCache
+/// Every query plans its full key set up front — all session keys for all
+/// candidate items/pairs, similar-item lists, tag indexes, item tags —
+/// dedupes repeated keys, and issues grouped MultiGets through a QueryCache
 /// (short-TTL positive/negative entries + single-flight coalescing) instead
-/// of one point Get per key. Results are bit-identical to the unbatched
-/// path on a healthy store; under per-key transient store errors the
-/// batched path degrades per candidate (PR 4's per-key-status semantics)
-/// where the unbatched path fails the whole query.
+/// of one point Get per key. Window sums add the sessions in order, so a
+/// score is bit-identical to one computed from point reads of the same
+/// state. Under per-key transient store errors a recommendation degrades
+/// per candidate (the batched client's per-key-status semantics) instead of
+/// failing as a whole.
 ///
 /// Not thread-safe; create one per serving thread (each owns a client).
 /// Concurrent serving threads SHOULD share one QueryCache (second
@@ -35,11 +38,10 @@ namespace tencentrec::topo {
 /// across threads into one store round-trip.
 class StoreQuery {
  public:
-  /// Batching per `app->options`; when enabled, owns a private QueryCache
-  /// sized from the options.
+  /// Owns a private QueryCache sized from `app->options`.
   explicit StoreQuery(const AppContext* app);
-  /// Same, but sharing `cache` with other StoreQuery instances (the engine
-  /// wires all serving threads to one cache). Ignored when batching is off.
+  /// Shares `cache` with other StoreQuery instances (the engine wires all
+  /// serving threads to one cache); nullptr = a private cache as above.
   StoreQuery(const AppContext* app, std::shared_ptr<QueryCache> cache);
 
   /// Item-based CF prediction (Eq. 2 over the user's recent-k items, §4.3)
@@ -91,7 +93,7 @@ class StoreQuery {
   Result<double> WindowPairCount(core::ItemId a, core::ItemId b,
                                  EventTime now);
 
-  /// The cache behind the batched tier (nullptr when batching is off).
+  /// The cache behind every read.
   QueryCache* cache() { return cache_.get(); }
 
  private:
@@ -100,30 +102,18 @@ class StoreQuery {
       EventTime now);
   Result<core::UserHistory> LoadHistory(core::UserId user);
 
-  /// Batched read of `keys`: through the QueryCache (dedupe + TTL cache +
-  /// coalescing) when present, else a locally-deduped grouped MultiGet.
-  /// `out` gets one Result per input key.
+  /// Batched read of `keys` through the QueryCache (dedupe + TTL cache +
+  /// coalescing). `out` gets one Result per input key.
   Status FetchMany(const std::vector<std::string>& keys,
                    std::vector<Result<std::string>>* out);
   /// Single-key read through the same tier (still coalesces/caches).
   Result<std::string> FetchOne(const std::string& key);
-  /// One blob read: FetchOne when batching, point Get otherwise.
-  Result<std::string> ReadBlob(const std::string& key);
 
-  Result<core::Recommendations> RecommendCfBatched(core::UserId user,
-                                                   size_t n, EventTime now);
-  Result<core::Recommendations> RecommendCbBatched(core::UserId user,
-                                                   size_t n, EventTime now);
-  Result<core::Recommendations> RecommendArBatched(core::ItemId from,
-                                                   size_t n, EventTime now,
-                                                   double min_support,
-                                                   double min_confidence);
   /// Counts one candidate dropped for a transient per-key store error.
   void Degraded();
 
   const AppContext* app_;
   std::unique_ptr<tdstore::Client> client_;
-  bool batched_ = false;
   std::shared_ptr<QueryCache> cache_;
 
   LatencyHistogram* fetch_keys_ = nullptr;  ///< keys per batched fetch

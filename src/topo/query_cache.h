@@ -31,9 +31,9 @@ namespace tencentrec::topo {
 ///     items, users without history) stop hammering the store.
 ///
 /// Caching is at key-value granularity, *not* query-result granularity: a
-/// query recomputes its scores from cached KV reads, so batched and
-/// unbatched paths stay bit-identical while the TTL only bounds how stale a
-/// single counter read may be. TDStore remains the single source of truth
+/// query recomputes its scores from cached KV reads, so they stay
+/// bit-identical to scores from one point read per key while the TTL only
+/// bounds how stale a single counter read may be. TDStore remains the single source of truth
 /// (the Monolith argument, arXiv:2209.07663); the engine clears this cache
 /// at batch boundaries and invalidates keys it rewrites out of band.
 ///

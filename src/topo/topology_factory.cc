@@ -34,10 +34,13 @@ Result<tstorm::TopologySpec> BuildAppTopology(const AppContext* app,
   builder.SetSpout("spout", std::move(spout),
                    spout_parallelism < 1 ? 1 : spout_parallelism);
 
+  // Grouped by user, like the next hop: a shuffle here could swap two of
+  // one user's actions between instances, and a rating delta would then
+  // land in the wrong session downstream.
   builder
       .SetBolt("pretreatment",
                [app] { return std::make_unique<PretreatmentBolt>(app); }, p)
-      .ShuffleGrouping("spout");
+      .FieldsGrouping("spout", {"user"});
 
   builder
       .SetBolt("user_history",

@@ -294,6 +294,7 @@ void LocalCluster::RunSpoutTask(Task* task) {
 
   Collector collector(this, task);
   task->spout->Open(ctx);
+  spouts_open_->arrive_and_wait();
   for (;;) {
     const uint64_t t0 = NowMicros();
     const bool more = task->spout->NextBatch(collector);
@@ -372,6 +373,9 @@ Status LocalCluster::Run() {
   if (started_) return Status::FailedPrecondition("cluster already ran");
   started_ = true;
 
+  std::ptrdiff_t spouts = 0;
+  for (const auto& t : tasks_) spouts += t->is_spout ? 1 : 0;
+  spouts_open_ = std::make_unique<std::latch>(spouts);
   // Start bolts first so spout emissions always find live consumers.
   for (auto& t : tasks_) {
     if (!t->is_spout) {

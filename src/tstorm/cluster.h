@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -43,7 +44,10 @@ struct ComponentMetrics {
 /// (component instance), with bounded queues between tasks providing
 /// backpressure.
 ///
-/// Lifecycle: spouts pull until exhausted, then end-of-stream markers
+/// Lifecycle: every spout task is Open()ed before any spout pulls its
+/// first batch (a spout that joins a consumer group in Open must not find
+/// a sibling already reading the partitions the group is about to hand
+/// it); spouts then pull until exhausted, and end-of-stream markers
 /// propagate topologically; every bolt gets a final Tick() (flushing
 /// combiners/caches) before Cleanup(). Run() returns when every task has
 /// drained — results persisted by storage bolts (e.g. in TDStore) are then
@@ -109,6 +113,9 @@ class LocalCluster {
   std::vector<std::vector<std::vector<Route>>> routes_;
   /// Output stream declarations per component id.
   std::vector<std::vector<StreamDecl>> streams_;
+  /// Counts down once per spout task after its Open(); spouts wait on it
+  /// before their first NextBatch. Created by Run().
+  std::unique_ptr<std::latch> spouts_open_;
   bool started_ = false;
 };
 

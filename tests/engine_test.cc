@@ -8,6 +8,7 @@
 #include "engine/tencentrec.h"
 #include "tdstore/client.h"
 #include "topo/blob_codec.h"
+#include "topo/bolts.h"
 
 namespace tencentrec::engine {
 namespace {
@@ -444,6 +445,57 @@ TEST(EngineTest, ParallelCfMirrorMatchesReference) {
   const std::string report = FormatMonitorSnapshot(*snapshot);
   EXPECT_NE(report.find("parallel cf pipeline"), std::string::npos);
   EXPECT_NE(report.find("user-history"), std::string::npos);
+}
+
+TEST(EngineTest, ActionsOutsideTheIdContractAreDroppedAndCounted) {
+  // User -5 and item 2^32 + 7 used to reach the mirror's packed tables and
+  // abort the process (PackUser / PackPair checks); item 2^32 + 7 would
+  // also share CTR counters with item 7 in the store.
+  TencentRec::Options options = BaseOptions("idcontract");
+  options.mirror_parallel_cf = true;
+  auto engine = TencentRec::Create(options);
+  ASSERT_TRUE(engine.ok());
+  Counter* rejected = topo::RejectedActionsCounter((*engine)->app());
+  const uint64_t before = rejected->Value();
+
+  const std::vector<UserAction> valid = CliqueTraffic();
+  std::vector<UserAction> batch = valid;
+  const EventTime t = batch.back().timestamp;
+  batch.insert(batch.begin() + 3,
+               Act(-5, 101, ActionType::kClick, t, Male()));
+  batch.push_back(Act(2, (ItemId{1} << 32) + 7, ActionType::kClick, t,
+                      Male()));
+  ASSERT_TRUE((*engine)->ProcessBatch(batch).ok());
+  EXPECT_EQ(rejected->Value() - before, 2u);
+
+  // The mirror saw exactly the valid actions.
+  core::PracticalItemCf::Options ref_opts;
+  ref_opts.linked_time = options.app.linked_time;
+  core::PracticalItemCf reference(ref_opts);
+  for (const auto& a : valid) reference.ProcessAction(a);
+  const core::ParallelItemCf* mirror = (*engine)->parallel_cf();
+  EXPECT_EQ(mirror->stats().actions, static_cast<int64_t>(valid.size()));
+  EXPECT_EQ(mirror->Similarity(101, 102), reference.Similarity(101, 102));
+  for (UserId u : {UserId{1}, UserId{2}, UserId{50}}) {
+    EXPECT_EQ(mirror->RecentItemsOf(u), reference.RecentItemsOf(u));
+    EXPECT_EQ(mirror->RecommendForUser(u, 3), reference.RecommendForUser(u, 3));
+  }
+
+  // The TDAccess path drops them at the pretreatment bolt, on the same
+  // counter, and none of their state reaches the store.
+  ASSERT_TRUE((*engine)
+                  ->PublishActions({Act(3, (ItemId{1} << 32) + 7,
+                                        ActionType::kPurchase, t, Male()),
+                                    Act(0, 101, ActionType::kClick, t)})
+                  .ok());
+  ASSERT_TRUE((*engine)->ProcessFromAccess().ok());
+  EXPECT_EQ(rejected->Value() - before, 4u);
+  auto count7 = (*engine)->query().WindowItemCount(7, t);
+  ASSERT_TRUE(count7.ok());
+  EXPECT_EQ(*count7, 0.0);
+  auto count101 = (*engine)->query().WindowItemCount(101, t);
+  ASSERT_TRUE(count101.ok());
+  EXPECT_EQ(*count101, reference.counts().ItemCount(101));
 }
 
 TEST(EngineTest, MirrorCheckpointExportsStateThroughBatchWriter) {

@@ -1,14 +1,17 @@
-// Flat-vs-legacy kernel parity (DESIGN.md §15). The rewrite swapped the CF
-// state containers (std::unordered_map/set -> open-addressing flat tables)
-// and the TopK maintenance kernel (sort-per-update -> single-pass sift);
-// neither may change any observable output. These tests drive both kernels
-// with identical traces and assert bit-identical results. Exactness is
-// legitimate: action weights are dyadic rationals (multiples of 0.5), so
-// every count is an exact float sum, identical in any accumulation order.
+// The flat CF kernels (DESIGN.md §15): flat table and arena units, TopK's
+// sift kernel against the sort-per-update oracle, and PracticalItemCf's
+// windowed totals, similarities and pruning against a naive replay of the
+// same trace. Exactness is legitimate: action weights are dyadic rationals
+// (multiples of 0.5), so every count is an exact float sum, identical in
+// any accumulation order.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <map>
+#include <tuple>
 #include <vector>
 
 #include "common/arena.h"
@@ -17,7 +20,6 @@
 #include "common/topk.h"
 #include "core/itemcf/item_cf.h"
 #include "core/itemcf/pair_key.h"
-#include "core/itemcf/parallel_cf.h"
 
 namespace tencentrec::core {
 namespace {
@@ -133,6 +135,85 @@ TEST(ArenaTest, ArenaVectorGrowthPreservesContents) {
 
 // --- TopK determinism + kernel equivalence -----------------------------------
 
+/// The pre-rewrite TopK — array-of-structs entries re-sorted on every
+/// update — kept as TopK's parity oracle: TopKTest drives both
+/// implementations with identical randomized traces and asserts
+/// bit-identical entries/thresholds/return values.
+///
+/// The sort comparator tie-breaks equal scores by ascending id, the total
+/// order TopK ranks by (a strict `score >` comparator would leave
+/// equal-score order unspecified, since std::sort is not stable). With that
+/// order, sort-per-update and TopK's sift kernel are equivalent by
+/// construction.
+template <typename Id>
+class LegacyTopK {
+ public:
+  using Entry = typename TopK<Id>::Entry;
+
+  explicit LegacyTopK(size_t k) : k_(k) {}
+
+  bool Update(const Id& id, double score) {
+    for (auto& e : entries_) {
+      if (e.id == id) {
+        e.score = score;
+        Reorder();
+        return true;
+      }
+    }
+    if (entries_.size() < k_) {
+      entries_.push_back({id, score});
+      Reorder();
+      return true;
+    }
+    if (score > entries_.back().score) {
+      entries_.back() = {id, score};
+      Reorder();
+      return true;
+    }
+    return false;
+  }
+
+  bool Erase(const Id& id) {
+    for (size_t i = 0; i < entries_.size(); ++i) {
+      if (entries_[i].id == id) {
+        entries_.erase(entries_.begin() + static_cast<ptrdiff_t>(i));
+        return true;
+      }
+    }
+    return false;
+  }
+
+  bool Contains(const Id& id) const {
+    for (const auto& e : entries_) {
+      if (e.id == id) return true;
+    }
+    return false;
+  }
+
+  double Threshold() const {
+    if (entries_.size() < k_) return 0.0;
+    return entries_.back().score;
+  }
+
+  const std::vector<Entry>& entries() const { return entries_; }
+
+  size_t size() const { return entries_.size(); }
+  size_t capacity() const { return k_; }
+  bool empty() const { return entries_.empty(); }
+
+ private:
+  void Reorder() {
+    std::sort(entries_.begin(), entries_.end(),
+              [](const Entry& a, const Entry& b) {
+                if (a.score != b.score) return a.score > b.score;
+                return a.id < b.id;
+              });
+  }
+
+  size_t k_;
+  std::vector<Entry> entries_;
+};
+
 TEST(TopKTest, TieOrderingDeterministicUnderShuffledInsertions) {
   // Regression for the ordering bug this PR fixes: equal-score entries used
   // to land in unspecified relative order (non-stable sort, strict `>`
@@ -200,7 +281,7 @@ TEST(TopKTest, MatchesLegacyOnRandomizedTraces) {
   }
 }
 
-// --- container-level parity: PracticalItemCf flat vs legacy ------------------
+// --- PracticalItemCf against a naive replay of the trace --------------------
 
 UserAction Act(UserId user, ItemId item, ActionType type, EventTime ts) {
   UserAction a;
@@ -228,60 +309,113 @@ std::vector<UserAction> RandomActions(uint64_t seed, int num_actions,
   return actions;
 }
 
-/// Runs one trace through both kernels and asserts every observable output
-/// is bit-identical: counts, similarities, top-K entries (ids AND scores),
-/// admission thresholds, prune decisions, stats, and query results.
-void ExpectKernelParity(PracticalItemCf::Options options,
-                        const std::vector<UserAction>& actions, int num_users,
-                        int num_items) {
-  options.use_flat_kernels = true;
-  PracticalItemCf flat(options);
-  options.use_flat_kernels = false;
-  PracticalItemCf legacy(options);
+/// The deltas Algorithm 1's user-history layer emits for a trace, replayed
+/// outside the kernel through per-user UserHistory::Apply (the layer the
+/// kernel runs too) and logged per session: every (session, item, Δr) and
+/// every (session, pair, Δco).
+struct DeltaLog {
+  std::map<std::pair<int64_t, ItemId>, double> items;
+  std::map<std::tuple<int64_t, ItemId, ItemId>, double> pairs;
+  int64_t pair_deltas = 0;
+  int64_t latest_session = 0;
+  std::map<UserId, UserHistory> histories;
+};
 
-  for (const auto& action : actions) {
-    flat.ProcessAction(action);
-    legacy.ProcessAction(action);
+/// Requires an in-order trace (no late data to fold forward).
+DeltaLog Replay(const PracticalItemCf::Options& options,
+                const std::vector<UserAction>& actions) {
+  DeltaLog log;
+  const EventTime length = std::max<EventTime>(1, options.session_length);
+  for (const UserAction& a : actions) {
+    const int64_t session =
+        options.window_sessions > 0 ? a.timestamp / length : 0;
+    log.latest_session = std::max(log.latest_session, session);
+    UserHistory& history = log.histories[a.user];
+    if (options.history_ttl > 0) {
+      history.EvictOlderThan(a.timestamp - options.history_ttl);
+    }
+    history.Apply(
+        a, options.weights, options.linked_time,
+        [&](ItemId item, double rating_delta, double) {
+          if (rating_delta > 0.0) log.items[{session, item}] += rating_delta;
+        },
+        [&](ItemId other, double co_delta) {
+          log.pairs[{session, std::min(a.item, other),
+                     std::max(a.item, other)}] += co_delta;
+          ++log.pair_deltas;
+        });
+  }
+  return log;
+}
+
+/// Runs one trace through PracticalItemCf and checks it against the naive
+/// window sums of the replayed delta log: item counts and unpruned pair
+/// counts exactly, unpruned similarities as Eq. 5 over those sums, every
+/// logged pair delta either applied or skipped as pruned, no pruned pair in
+/// either item's list, and the users' histories.
+void ExpectMatchesDeltaLog(const PracticalItemCf::Options& options,
+                           const std::vector<UserAction>& actions,
+                           int num_users, int num_items) {
+  PracticalItemCf cf(options);
+  for (const auto& action : actions) cf.ProcessAction(action);
+  const DeltaLog log = Replay(options, actions);
+
+  auto in_window = [&](int64_t session) {
+    return options.window_sessions <= 0 ||
+           session > log.latest_session - options.window_sessions;
+  };
+  std::map<ItemId, double> item_sum;
+  for (const auto& [key, delta] : log.items) {
+    if (in_window(key.first)) item_sum[key.second] += delta;
+  }
+  std::map<std::pair<ItemId, ItemId>, double> pair_sum;
+  for (const auto& [key, delta] : log.pairs) {
+    const auto& [session, lo, hi] = key;
+    if (in_window(session)) pair_sum[{lo, hi}] += delta;
   }
 
-  EXPECT_EQ(flat.stats().actions, legacy.stats().actions);
-  EXPECT_EQ(flat.stats().pair_updates, legacy.stats().pair_updates);
-  EXPECT_EQ(flat.stats().pair_updates_pruned,
-            legacy.stats().pair_updates_pruned);
-  EXPECT_EQ(flat.stats().pairs_pruned, legacy.stats().pairs_pruned);
-  EXPECT_EQ(flat.counts().TrackedItems(), legacy.counts().TrackedItems());
-  EXPECT_EQ(flat.counts().TrackedPairs(), legacy.counts().TrackedPairs());
+  EXPECT_EQ(cf.stats().actions, static_cast<int64_t>(actions.size()));
+  EXPECT_EQ(cf.stats().pair_updates + cf.stats().pair_updates_pruned,
+            log.pair_deltas);
 
   for (ItemId a = 1; a <= num_items; ++a) {
-    EXPECT_EQ(flat.counts().ItemCount(a), legacy.counts().ItemCount(a))
-        << "item " << a;
+    EXPECT_EQ(cf.counts().ItemCount(a), item_sum[a]) << "item " << a;
     for (ItemId b = a + 1; b <= num_items; ++b) {
-      EXPECT_EQ(flat.counts().PairCount(a, b), legacy.counts().PairCount(a, b))
+      if (cf.IsPruned(a, b)) {
+        const TopK<ItemId>* la = cf.SimilarItems(a);
+        const TopK<ItemId>* lb = cf.SimilarItems(b);
+        EXPECT_FALSE(la != nullptr && la->Contains(b))
+            << "pruned pair (" << a << ", " << b << ")";
+        EXPECT_FALSE(lb != nullptr && lb->Contains(a))
+            << "pruned pair (" << a << ", " << b << ")";
+        continue;
+      }
+      const double pc = pair_sum[{a, b}];
+      EXPECT_EQ(cf.counts().PairCount(a, b), pc)
           << "pair (" << a << ", " << b << ")";
-      EXPECT_EQ(flat.Similarity(a, b), legacy.Similarity(a, b))
+      const double ca = item_sum[a];
+      const double cb = item_sum[b];
+      const double eq5 =
+          ca > 0.0 && cb > 0.0 && pc > 0.0 ? pc / std::sqrt(ca * cb) : 0.0;
+      EXPECT_EQ(cf.Similarity(a, b), eq5)
           << "pair (" << a << ", " << b << ")";
-      EXPECT_EQ(flat.EffectiveSimilarity(a, b), legacy.EffectiveSimilarity(a, b))
-          << "pair (" << a << ", " << b << ")";
-      EXPECT_EQ(flat.IsPruned(a, b), legacy.IsPruned(a, b))
-          << "pair (" << a << ", " << b << ")";
-    }
-    const TopK<ItemId>* fl = flat.SimilarItems(a);
-    const TopK<ItemId>* ll = legacy.SimilarItems(a);
-    ASSERT_EQ(fl == nullptr, ll == nullptr) << "item " << a;
-    if (fl != nullptr) {
-      EXPECT_EQ(fl->entries(), ll->entries()) << "item " << a;
-      EXPECT_EQ(fl->Threshold(), ll->Threshold()) << "item " << a;
     }
   }
 
   for (UserId u = 1; u <= num_users; ++u) {
-    EXPECT_EQ(flat.RecentItemsOf(u), legacy.RecentItemsOf(u)) << "user " << u;
+    auto it = log.histories.find(u);
+    if (it == log.histories.end()) {
+      EXPECT_TRUE(cf.RecentItemsOf(u).empty()) << "user " << u;
+      continue;
+    }
+    const size_t k = options.recent_k > 0
+                         ? static_cast<size_t>(options.recent_k)
+                         : it->second.size();
+    EXPECT_EQ(cf.RecentItemsOf(u), it->second.RecentItems(k)) << "user " << u;
     for (ItemId i = 1; i <= num_items; ++i) {
-      EXPECT_EQ(flat.UserRating(u, i), legacy.UserRating(u, i))
+      EXPECT_EQ(cf.UserRating(u, i), it->second.RatingOf(i))
           << "user " << u << " item " << i;
     }
-    EXPECT_EQ(flat.RecommendForUser(u, 5), legacy.RecommendForUser(u, 5))
-        << "user " << u;
   }
 }
 
@@ -289,7 +423,7 @@ TEST(FlatKernelParityTest, SeededRandomTrace) {
   PracticalItemCf::Options options;
   options.linked_time = Hours(4);
   options.top_k = 5;  // small lists so overflow eviction is exercised
-  ExpectKernelParity(options, RandomActions(17, 4000, 25, 40), 25, 40);
+  ExpectMatchesDeltaLog(options, RandomActions(17, 4000, 25, 40), 25, 40);
 }
 
 TEST(FlatKernelParityTest, WindowedTraceWithExpiry) {
@@ -299,13 +433,13 @@ TEST(FlatKernelParityTest, WindowedTraceWithExpiry) {
   options.window_sessions = 3;
   options.top_k = 4;
   // 40 s spacing over 4000 actions spans ~44 sessions, so plenty expire.
-  ExpectKernelParity(options, RandomActions(23, 4000, 20, 24), 20, 24);
+  ExpectMatchesDeltaLog(options, RandomActions(23, 4000, 20, 24), 20, 24);
 }
 
 TEST(FlatKernelParityTest, AllTiesTrace) {
   // Adversarial all-ties workload: one action type and symmetric structure
-  // give many exactly-equal similarities; list admission/eviction must make
-  // identical tie decisions in both kernels.
+  // give many exactly-equal similarities, so list admission and eviction
+  // run on ties throughout.
   std::vector<UserAction> actions;
   EventTime ts = 0;
   for (UserId u = 1; u <= 16; ++u) {
@@ -317,100 +451,27 @@ TEST(FlatKernelParityTest, AllTiesTrace) {
   PracticalItemCf::Options options;
   options.linked_time = Days(30);
   options.top_k = 3;  // far smaller than the clique: constant tie-eviction
-  ExpectKernelParity(options, actions, 16, 12);
+  ExpectMatchesDeltaLog(options, actions, 16, 12);
 }
 
 TEST(FlatKernelParityTest, PruneEraseReopenTrace) {
   // Drives Algorithm 1 hard: tight lists + aggressive delta so pairs get
   // pruned (erasing stale list entries and reopening thresholds), then keep
-  // arriving as skipped updates. Every prune decision, erase, and skip
-  // counter must match across kernels.
+  // arriving as skipped updates. Every logged pair delta must be either
+  // applied or counted as a pruned skip.
   PracticalItemCf::Options options;
   options.linked_time = Hours(6);
   options.top_k = 3;
   options.enable_pruning = true;
   options.hoeffding_delta = 0.4;
   const auto actions = RandomActions(31, 6000, 12, 30);
-  ExpectKernelParity(options, actions, 12, 30);
+  ExpectMatchesDeltaLog(options, actions, 12, 30);
 
   // The trace must actually prune, or the test proves nothing.
-  options.use_flat_kernels = true;
   PracticalItemCf probe(options);
   for (const auto& action : actions) probe.ProcessAction(action);
   EXPECT_GT(probe.stats().pairs_pruned, 0);
   EXPECT_GT(probe.stats().pair_updates_pruned, 0);
-}
-
-// --- sharded executor: legacy kernel parity (TSan workload) ------------------
-
-TEST(FlatKernelParityTest, ParallelLegacyKernelMatchesFlat) {
-  // The sharded executor in legacy-kernel mode must drain to the same state
-  // as flat-kernel mode. Parity configuration (no overflow, no pruning), so
-  // state is a pure commutative sum; dyadic action weights make those sums
-  // exact in any interleaving, hence exact equality across modes. Runs
-  // both multi-threaded pipelines -> part of the `concurrent` TSan label.
-  const int kUsers = 16, kItems = 20;
-  const auto actions = RandomActions(41, 1500, kUsers, kItems);
-
-  ParallelItemCf::Options options;
-  options.cf.linked_time = Days(30);
-  options.cf.window_sessions = 0;
-  options.cf.enable_pruning = false;
-  options.cf.top_k = kItems + 8;
-  options.user_shards = 4;
-  options.pair_shards = 4;
-  options.batch_size = 7;
-  options.queue_capacity = 4;
-  options.count_stripes = 8;
-  options.list_stripes = 8;
-
-  options.cf.use_flat_kernels = true;
-  ParallelItemCf flat(options);
-  options.cf.use_flat_kernels = false;
-  ParallelItemCf legacy(options);
-
-  flat.ProcessActions(actions);
-  legacy.ProcessActions(actions);
-  flat.Drain();
-  legacy.Drain();
-
-  EXPECT_EQ(flat.stats().actions, legacy.stats().actions);
-  EXPECT_EQ(flat.stats().pair_updates, legacy.stats().pair_updates);
-  for (ItemId a = 1; a <= kItems; ++a) {
-    for (ItemId b = a + 1; b <= kItems; ++b) {
-      EXPECT_EQ(flat.Similarity(a, b), legacy.Similarity(a, b))
-          << "pair (" << a << ", " << b << ")";
-      EXPECT_EQ(flat.EffectiveSimilarity(a, b),
-                legacy.EffectiveSimilarity(a, b))
-          << "pair (" << a << ", " << b << ")";
-    }
-  }
-  for (UserId u = 1; u <= kUsers; ++u) {
-    EXPECT_EQ(flat.RecentItemsOf(u), legacy.RecentItemsOf(u)) << "user " << u;
-    for (ItemId i = 1; i <= kItems; ++i) {
-      EXPECT_EQ(flat.UserRating(u, i), legacy.UserRating(u, i))
-          << "user " << u << " item " << i;
-    }
-    // Recommendations use racy-snapshot list membership only for candidate
-    // generation; in the no-overflow configuration membership is
-    // deterministic, and scores recompute from drained counts.
-    EXPECT_EQ(flat.RecommendForUser(u, 5), legacy.RecommendForUser(u, 5))
-        << "user " << u;
-  }
-
-  // Mirror-export walk sees the same (item, total) set in both modes.
-  FlatMap64<double> flat_totals, legacy_totals;
-  flat.VisitItemCounts(
-      [&](ItemId item, double total) { flat_totals[PackItem(item)] = total; });
-  legacy.VisitItemCounts([&](ItemId item, double total) {
-    legacy_totals[PackItem(item)] = total;
-  });
-  ASSERT_EQ(flat_totals.size(), legacy_totals.size());
-  flat_totals.ForEach([&](uint64_t key, double total) {
-    const double* other = legacy_totals.Find(key);
-    ASSERT_NE(other, nullptr);
-    EXPECT_EQ(total, *other);
-  });
 }
 
 }  // namespace

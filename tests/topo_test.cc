@@ -279,53 +279,65 @@ TEST_F(CacheFixture, CapacityOneHoldsExactlyOneEntry) {
   EXPECT_EQ(cache.stats().misses, 2);
 }
 
-TEST(CombinerTest, MergesSameKey) {
+TEST(CombinerTest, MergesSameKeyAndDrainsWholeBuffer) {
   Combiner combiner;
   combiner.Add("k1", 1.0);
   combiner.Add("k1", 2.0);
   combiner.Add("k2", 5.0);
   EXPECT_EQ(combiner.pending(), 2u);
-
-  std::map<std::string, double> flushed;
-  ASSERT_TRUE(combiner
-                  .Flush([&](const std::string& key, double delta) {
-                    flushed[key] = delta;
-                    return Status::OK();
-                  })
-                  .ok());
-  EXPECT_DOUBLE_EQ(flushed["k1"], 3.0);
-  EXPECT_DOUBLE_EQ(flushed["k2"], 5.0);
-  EXPECT_EQ(combiner.pending(), 0u);
-  EXPECT_EQ(combiner.stats().added, 3);
-  EXPECT_EQ(combiner.stats().flushed, 2);
-}
-
-TEST(CombinerTest, FailedWriteKeepsEntry) {
-  Combiner combiner;
-  combiner.Add("k", 1.0);
-  EXPECT_FALSE(combiner
-                   .Flush([&](const std::string&, double) {
-                     return Status::Unavailable("down");
-                   })
-                   .ok());
-  EXPECT_EQ(combiner.pending(), 1u);
-}
-
-TEST(CombinerTest, DrainHandsOverWholeBufferForBatchedFlush) {
-  Combiner combiner;
-  combiner.Add("k1", 1.0);
-  combiner.Add("k1", 2.0);
-  combiner.Add("k2", 5.0);
   std::vector<std::pair<std::string, double>> drained;
   combiner.Drain(&drained);
   EXPECT_EQ(combiner.pending(), 0u);
   std::map<std::string, double> by_key(drained.begin(), drained.end());
   EXPECT_DOUBLE_EQ(by_key["k1"], 3.0);
   EXPECT_DOUBLE_EQ(by_key["k2"], 5.0);
+  EXPECT_EQ(combiner.stats().added, 3);
   EXPECT_EQ(combiner.stats().flushed, 2);
   // Failed keys can be re-buffered, restoring at-least-once.
   combiner.Add("k1", by_key["k1"]);
   EXPECT_EQ(combiner.pending(), 1u);
+}
+
+/// Drives a bolt by hand; the bolts under test here emit nothing.
+class NullCollector : public tstorm::OutputCollector {
+ public:
+  void Emit(tstorm::Tuple) override {}
+  void EmitTo(int, tstorm::Tuple) override {}
+};
+
+TEST(CombinerTest, FailedFlushKeepsDeltaForTheNextTick) {
+  // A combiner flush whose store write fails re-buffers the delta: it is
+  // neither lost nor applied twice once the store is back.
+  tdstore::Cluster::Options store_options;
+  store_options.num_data_servers = 2;
+  store_options.num_instances = 4;
+  auto cluster = tdstore::Cluster::Create(store_options);
+  ASSERT_TRUE(cluster.ok());
+  AppOptions options;
+  options.app = "rebuffer";
+  AppContext app(cluster->get(), options);
+  ItemCountBolt bolt(&app);
+  tstorm::TaskContext ctx;
+  ctx.component_name = "item_count";
+  bolt.Prepare(ctx);
+  NullCollector out;
+  bolt.Execute(tstorm::Tuple::Of({int64_t{7}, 1.5, int64_t{0}, int64_t{0},
+                                  int64_t{0}}),
+               {}, out);
+
+  for (int s = 0; s < 2; ++s) (*cluster)->data_server(s)->SetDown(true);
+  bolt.Tick(out);
+  for (int s = 0; s < 2; ++s) (*cluster)->data_server(s)->SetDown(false);
+  tdstore::Client client(cluster->get());
+  EXPECT_TRUE(client.Get(app.keys.ItemCount(0, 7)).status().IsNotFound());
+
+  bolt.Tick(out);
+  bolt.Cleanup();
+  auto stored = client.GetDouble(app.keys.ItemCount(0, 7), -1.0);
+  ASSERT_TRUE(stored.ok());
+  EXPECT_EQ(*stored, 1.5);
+  // The failed delta went back into the combiner once.
+  EXPECT_EQ(bolt.combiner_stats().added, 2);
 }
 
 // --- event-to-store stamp guard ---------------------------------------------
@@ -404,37 +416,49 @@ std::vector<UserAction> RandomActions(uint64_t seed, int n) {
   return actions;
 }
 
-class PipelineOracleTest : public ::testing::TestWithParam<uint64_t> {};
+struct OracleCase {
+  uint64_t seed = 0;
+  int window_sessions = 0;  ///< 0 = cumulative counts
+};
+
+class PipelineOracleTest : public ::testing::TestWithParam<OracleCase> {};
 
 TEST_P(PipelineOracleTest, CountsMatchReferenceModel) {
-  const auto actions = RandomActions(GetParam(), 600);
+  const OracleCase param = GetParam();
+  const auto actions = RandomActions(param.seed, 600);
 
-  auto engine = engine::TencentRec::Create(EngineOptions("oracle"));
+  auto options = EngineOptions("oracle");
+  options.app.session_length = Seconds(60);
+  options.app.window_sessions = param.window_sessions;
+  auto engine = engine::TencentRec::Create(options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   ASSERT_TRUE((*engine)->ProcessBatch(actions).ok());
 
   core::PracticalItemCf::Options ref_options;
   ref_options.linked_time = Days(30);
-  ref_options.window_sessions = 0;
+  ref_options.session_length = Seconds(60);
+  ref_options.window_sessions = param.window_sessions;
   core::PracticalItemCf reference(ref_options);
   for (const auto& action : actions) reference.ProcessAction(action);
 
-  // Windowed (here: cumulative) item and pair counts in TDStore must equal
-  // the reference model exactly — commutative increments, single writer per
-  // key, and final combiner flush guarantee it despite parallelism.
+  // Windowed item and pair counts in TDStore must equal the reference model
+  // exactly — commutative increments of dyadic weights, single writer per
+  // key, and final combiner flush guarantee it despite parallelism. With a
+  // window, the session a delta lands in depends on each user's action
+  // order, so this also checks that the topology keeps that order. The
+  // reference window ends at the newest action's session.
   auto& query = (*engine)->query();
-  const EventTime now = Seconds(600);
+  const EventTime now = actions.back().timestamp;
   for (ItemId item = 1; item <= 25; ++item) {
     auto count = query.WindowItemCount(item, now);
     ASSERT_TRUE(count.ok());
-    EXPECT_NEAR(*count, reference.counts().ItemCount(item), 1e-9)
-        << "item " << item;
+    EXPECT_EQ(*count, reference.counts().ItemCount(item)) << "item " << item;
   }
   for (ItemId a = 1; a <= 25; ++a) {
     for (ItemId b = a + 1; b <= 25; ++b) {
       auto count = query.WindowPairCount(a, b, now);
       ASSERT_TRUE(count.ok());
-      EXPECT_NEAR(*count, reference.counts().PairCount(a, b), 1e-9)
+      EXPECT_EQ(*count, reference.counts().PairCount(a, b))
           << "pair (" << a << ", " << b << ")";
     }
   }
@@ -449,7 +473,12 @@ TEST_P(PipelineOracleTest, CountsMatchReferenceModel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineOracleTest,
-                         ::testing::Values(11u, 22u, 33u));
+                         ::testing::Values(OracleCase{11, 0}, OracleCase{22, 0},
+                                           OracleCase{33, 0}));
+// 600 s of actions over 60 s sessions, 3 in the window.
+INSTANTIATE_TEST_SUITE_P(Windowed, PipelineOracleTest,
+                         ::testing::Values(OracleCase{11, 3}, OracleCase{22, 3},
+                                           OracleCase{33, 3}));
 
 TEST(PipelineTest, RestartDuringStreamLosesNothing) {
   // The paper's fault-tolerance claim: bolts are stateless, so crash-

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <mutex>
+#include <thread>
 
 #include "tstorm/cluster.h"
 #include "tstorm/topology.h"
@@ -161,6 +163,57 @@ TEST(LocalClusterTest, DeliversAllTuplesShuffle) {
   std::set<int> instances;
   for (const auto& [inst, tuple] : sink.tuples) instances.insert(inst);
   EXPECT_EQ(instances.size(), 3u);
+}
+
+/// Records, at each instance's first NextBatch, how many instances of the
+/// spout had finished Open(). Instance 1 opens ~50 ms late — the way a
+/// consumer-group spout can subscribe after a sibling already polls.
+struct OpenRecord {
+  std::atomic<int> opened{0};
+  std::mutex mu;
+  std::vector<int> opened_at_first_batch;
+};
+
+class LateOpenSpout : public ISpout {
+ public:
+  explicit LateOpenSpout(OpenRecord* record) : record_(record) {}
+
+  std::vector<StreamDecl> DeclareOutputs() const override {
+    return {{"ints", {"key", "value"}}};
+  }
+
+  void Open(const TaskContext& ctx) override {
+    if (ctx.instance == 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    record_->opened.fetch_add(1);
+  }
+
+  bool NextBatch(OutputCollector& out) override {
+    (void)out;
+    std::lock_guard lock(record_->mu);
+    record_->opened_at_first_batch.push_back(record_->opened.load());
+    return false;
+  }
+
+ private:
+  OpenRecord* record_;
+};
+
+TEST(LocalClusterTest, EverySpoutOpensBeforeAnySpoutPulls) {
+  OpenRecord record;
+  Sink sink;
+  TopologyBuilder b("late_open");
+  b.SetSpout("spout",
+             [&record] { return std::make_unique<LateOpenSpout>(&record); },
+             2);
+  b.SetBolt("bolt", [&sink] { return std::make_unique<CollectBolt>(&sink); })
+      .ShuffleGrouping("spout");
+  auto cluster = LocalCluster::Create(MustBuild(std::move(b)));
+  ASSERT_TRUE(cluster.ok());
+  ASSERT_TRUE((*cluster)->Run().ok());
+  ASSERT_EQ(record.opened_at_first_batch.size(), 2u);
+  for (int opened : record.opened_at_first_batch) EXPECT_EQ(opened, 2);
 }
 
 TEST(LocalClusterTest, FieldsGroupingSerializesPerKey) {
