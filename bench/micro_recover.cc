@@ -14,8 +14,8 @@
 //
 // where appends_per_action is counted from the real engine's WAL counters
 // over a real durable run, per_append_cpu is the min-over-blocks CPU of an
-// AppendOps record sized like the run's average record (the same zero-copy
-// entry the engine logs through), and per_action_pipeline_cpu is the CPU of
+// AppendOps record sized like the run's average record (the same entry the
+// engine logs through), and per_action_pipeline_cpu is the CPU of
 // the full (non-durable) pipeline per action. Appends and pipeline CPU are
 // paired PER BATCH — both grow together as store state accumulates — and
 // the reported overhead is the worst batch, so a cheap early batch cannot
@@ -229,8 +229,8 @@ int main() {
       static_cast<double>(appended_bytes->Value() - bytes_before) /
       static_cast<double>(actions_processed);
 
-  // (b) CPU per append through the zero-copy AppendOps fast path (the entry
-  // the engine actually logs through), min over blocks. The op is sized so
+  // (b) CPU per append through AppendOps (the entry the engine actually
+  // logs through), min over blocks. The op is sized so
   // the framed record matches the durable run's AVERAGE record — crc and
   // fwrite cost scale with bytes, so a toy record would understate.
   double per_append_cpu_ms;
@@ -244,7 +244,7 @@ int main() {
     const double pad = avg_record_bytes - 8 - 17 - 9 -
                        static_cast<double>(key.size());
     const std::string value(pad > 8 ? static_cast<size_t>(pad) : 8, 'v');
-    const tdstore::WalOpView op{false, key, value};
+    const tdstore::WalOp op{false, key, value};
     int i = 0;
     per_append_cpu_ms = MinBlockMs(8, 2000, [&wal, &op, &i] {
       (void)wal.AppendOps(i++ % 8, &op, 1);

@@ -10,14 +10,18 @@
 #   3. the `durable` label on its own (torn-tail recovery sweeps, snapshot
 #      round-trips, and the kill-mid-stream SIGKILL recovery test must pass
 #      standalone, not only interleaved with the suite);
-#   4. an AddressSanitizer+UBSan build running the `itemcf` and `query`
-#      labels (the raw-memory flat tables, arena scratch, and SoA TopK of
-#      DESIGN.md §15, and the planned-read query path of §11);
+#   4. an AddressSanitizer+UBSan build running the `itemcf`, `query` and
+#      `store` labels (the raw-memory flat tables, arena scratch, and SoA
+#      TopK of DESIGN.md §15, the planned-read query path of §11, and the
+#      store's run loop, WAL and replication of §10/§14 — `store` includes
+#      durable_test);
 #   5. a ThreadSanitizer build running the `concurrent` label (sharded
 #      executor, striped histogram/tracer, batch clients, single-flight,
 #      the tstorm task threads and spout-open barrier).
 #
 #   scripts/ci_verify.sh [build-dir] [tsan-build-dir] [asan-build-dir]
+#
+# Every build runs `nproc` compile jobs, never an unbounded -j.
 #
 # Env:
 #   TR_SKIP_ASAN=1   skip step 4 (e.g. on hosts without ASan runtime)
@@ -31,7 +35,7 @@ asan_dir="${3:-$repo_root/build-asan}"
 
 echo "=== tier-1: build + full suite + obs label ==="
 cmake -B "$build_dir" -S "$repo_root"
-cmake --build "$build_dir" -j
+cmake --build "$build_dir" -j "$(nproc)"
 (cd "$build_dir" && ctest --output-on-failure -j "$(nproc)")
 (cd "$build_dir" && ctest -L obs --output-on-failure)
 
@@ -44,10 +48,10 @@ echo "=== durable: WAL/snapshot recovery incl. kill-mid-stream ==="
 if [[ "${TR_SKIP_ASAN:-0}" == "1" ]]; then
   echo "=== asan: skipped (TR_SKIP_ASAN=1) ==="
 else
-  echo "=== asan: itemcf + query labels under AddressSanitizer+UBSan ==="
+  echo "=== asan: itemcf + query + store labels under AddressSanitizer+UBSan ==="
   cmake -B "$asan_dir" -S "$repo_root" -DTR_SANITIZE_ADDRESS=ON
-  cmake --build "$asan_dir" -j
-  (cd "$asan_dir" && ctest -L 'itemcf|query' --output-on-failure)
+  cmake --build "$asan_dir" -j "$(nproc)"
+  (cd "$asan_dir" && ctest -L 'itemcf|query|store' --output-on-failure)
 fi
 
 if [[ "${TR_SKIP_TSAN:-0}" == "1" ]]; then
@@ -57,7 +61,7 @@ fi
 
 echo "=== tsan: concurrent label under ThreadSanitizer ==="
 cmake -B "$tsan_dir" -S "$repo_root" -DTR_SANITIZE_THREAD=ON
-cmake --build "$tsan_dir" -j
+cmake --build "$tsan_dir" -j "$(nproc)"
 (cd "$tsan_dir" && ctest -L concurrent --output-on-failure)
 
 echo "ci_verify: all gates passed"

@@ -146,6 +146,14 @@ class Result {
   std::optional<T> value_;
 };
 
+/// The status of a Status or of a Result<T>, for code generic over both
+/// (per-item outcomes of the store's batch calls).
+inline const Status& StatusOf(const Status& s) { return s; }
+template <typename T>
+const Status& StatusOf(const Result<T>& r) {
+  return r.status();
+}
+
 /// Propagates a non-OK status to the caller. Usable only in functions that
 /// themselves return Status.
 #define TR_RETURN_IF_ERROR(expr)           \

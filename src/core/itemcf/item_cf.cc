@@ -139,14 +139,8 @@ double PracticalItemCf::EffectiveSimilarity(ItemId a, ItemId b) const {
 double PracticalItemCf::EffectiveFromCounts(ItemId a, ItemId b,
                                             double pair_count) const {
   if (pair_count <= 0.0) return 0.0;
-  const double ca = counts_.ItemCount(a);
-  const double cb = counts_.ItemCount(b);
-  if (ca <= 0.0 || cb <= 0.0) return 0.0;
-  // Same ops as WindowedCounts::Similarity (Eq. 5) so results stay
-  // bit-identical with code that calls it directly. Single sqrt of the
-  // product — one fewer root on the per-update path; every Eq. 5 site
-  // uses this exact form so cross-path comparisons stay exact.
-  double sim = pair_count / std::sqrt(ca * cb);
+  double sim =
+      ItemSimilarity(pair_count, counts_.ItemCount(a), counts_.ItemCount(b));
   if (sim > 0.0 && options_.support_shrinkage > 0.0) {
     sim *= pair_count / (pair_count + options_.support_shrinkage);
   }

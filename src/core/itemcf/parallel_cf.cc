@@ -466,10 +466,9 @@ double ParallelItemCf::CachedItemCountOf(FlatMap64<double>* cache,
 
 double ParallelItemCf::EffectiveFrom(double count_a, double count_b,
                                      double pair_count) const {
-  // Eq. 5/10 + shrinkage, mirroring WindowedCounts::Similarity.
-  if (count_a <= 0.0 || count_b <= 0.0 || pair_count <= 0.0) return 0.0;
-  double sim = pair_count / std::sqrt(count_a * count_b);
-  if (options_.cf.support_shrinkage > 0.0) {
+  // Eq. 5/10 + shrinkage.
+  double sim = ItemSimilarity(pair_count, count_a, count_b);
+  if (sim > 0.0 && options_.cf.support_shrinkage > 0.0) {
     sim *= pair_count / (pair_count + options_.cf.support_shrinkage);
   }
   return sim;
@@ -477,21 +476,12 @@ double ParallelItemCf::EffectiveFrom(double count_a, double count_b,
 
 double ParallelItemCf::SimilarityFromCounts(ItemId a, ItemId b,
                                             double pair_count) const {
-  // Eq. 5/10, mirroring WindowedCounts::Similarity.
-  const double ca = ItemCountOf(a);
-  const double cb = ItemCountOf(b);
-  if (ca <= 0.0 || cb <= 0.0) return 0.0;
-  if (pair_count <= 0.0) return 0.0;
-  return pair_count / std::sqrt(ca * cb);
+  return ItemSimilarity(pair_count, ItemCountOf(a), ItemCountOf(b));
 }
 
 double ParallelItemCf::EffectiveFromCounts(ItemId a, ItemId b,
                                            double pair_count) const {
-  double sim = SimilarityFromCounts(a, b, pair_count);
-  if (sim > 0.0 && options_.cf.support_shrinkage > 0.0) {
-    sim *= pair_count / (pair_count + options_.cf.support_shrinkage);
-  }
-  return sim;
+  return EffectiveFrom(ItemCountOf(a), ItemCountOf(b), pair_count);
 }
 
 double ParallelItemCf::ListThresholdOf(ItemId item) const {

@@ -98,14 +98,7 @@ double WindowedCounts::PairCount(ItemId a, ItemId b) const {
 }
 
 double WindowedCounts::Similarity(ItemId a, ItemId b) const {
-  const double ca = ItemCount(a);
-  const double cb = ItemCount(b);
-  if (ca <= 0.0 || cb <= 0.0) return 0.0;
-  const double pc = PairCount(a, b);
-  if (pc <= 0.0) return 0.0;
-  // Single sqrt of the product — the canonical Eq. 5 form every similarity
-  // site shares so cross-path comparisons stay bit-exact.
-  return pc / std::sqrt(ca * cb);
+  return ItemSimilarity(PairCount(a, b), ItemCount(a), ItemCount(b));
 }
 
 size_t WindowedCounts::TrackedItems() const {

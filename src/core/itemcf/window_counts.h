@@ -1,6 +1,7 @@
 #ifndef TENCENTREC_CORE_ITEMCF_WINDOW_COUNTS_H_
 #define TENCENTREC_CORE_ITEMCF_WINDOW_COUNTS_H_
 
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -10,6 +11,17 @@
 #include "core/itemcf/pair_key.h"
 
 namespace tencentrec::core {
+
+/// Eq. 5: the similarity of two items from their (windowed) counts,
+/// pairCount / sqrt(itemCount_a · itemCount_b), or 0 when any count is not
+/// positive. Every similarity site — the in-memory kernels, the topology's
+/// CfPairBolt and the store queries — computes through this one function,
+/// so their results agree to the bit.
+inline double ItemSimilarity(double pair_count, double count_a,
+                             double count_b) {
+  if (count_a <= 0.0 || count_b <= 0.0 || pair_count <= 0.0) return 0.0;
+  return pair_count / std::sqrt(count_a * count_b);
+}
 
 /// Sliding-window itemCount/pairCount storage (Eq. 10). Event time is cut
 /// into sessions of `session_length`; each session keeps its own partial

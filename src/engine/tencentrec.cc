@@ -543,9 +543,8 @@ Status TencentRec::CommitStoreBarrier() {
 Status TencentRec::Checkpoint() { return store_->Checkpoint(barrier_seq_); }
 
 Status TencentRec::CheckpointMirror() {
-  tdstore::BatchWriter::Options wopts;
-  wopts.max_ops = options_.app.store_batch_max_ops;
-  tdstore::BatchWriter writer(admin_client_.get(), wopts);
+  tdstore::BatchWriter writer(admin_client_.get(),
+                             tdstore::BatchWriter::Options());
   parallel_cf_->VisitItemCounts([&](core::ItemId item, double total) {
     writer.PutDouble(app_->keys.MirrorItemCount(item), total);
   });

@@ -82,21 +82,6 @@ void BatchWriter::IncrDouble(std::string_view key, double delta,
   MaybeAutoFlush();
 }
 
-void BatchWriter::IncrInt64(std::string_view key, int64_t delta,
-                            IncrInt64Callback cb) {
-  ResolveKindConflict(key, Kind::kIncrInt64);
-  if (staged_ops_ != nullptr) staged_ops_->Add();
-  StagedOp op;
-  op.kind = Kind::kIncrInt64;
-  op.key = std::string(key);
-  op.idelta = delta;
-  op.incr_int64_cb = std::move(cb);
-  op.trace_id = CurrentTraceId();
-  staged_kind_[op.key] = Kind::kIncrInt64;
-  ops_.push_back(std::move(op));
-  MaybeAutoFlush();
-}
-
 const std::string* BatchWriter::StagedPut(const std::string& key) const {
   auto it = put_index_.find(key);
   if (it == put_index_.end()) return nullptr;
@@ -108,17 +93,7 @@ bool BatchWriter::HasStaged(const std::string& key) const {
 }
 
 void BatchWriter::MaybeAutoFlush() {
-  if (ops_.empty()) return;
-  if (ops_.size() == 1) oldest_staged_micros_ = static_cast<int64_t>(MonoMicros());
-  if (ops_.size() >= options_.max_ops) {
-    (void)Flush();
-    return;
-  }
-  if (options_.max_age_micros > 0 &&
-      static_cast<int64_t>(MonoMicros()) - oldest_staged_micros_ >=
-          options_.max_age_micros) {
-    (void)Flush();
-  }
+  if (ops_.size() >= options_.max_ops) (void)Flush();
 }
 
 Status BatchWriter::Flush() {
@@ -136,8 +111,6 @@ Status BatchWriter::Flush() {
   std::vector<size_t> put_src;
   std::vector<std::pair<std::string, double>> dadds;
   std::vector<size_t> dadd_src;
-  std::vector<std::pair<std::string, int64_t>> iadds;
-  std::vector<size_t> iadd_src;
   for (size_t i = 0; i < ops.size(); ++i) {
     switch (ops[i].kind) {
       case Kind::kPut:
@@ -147,10 +120,6 @@ Status BatchWriter::Flush() {
       case Kind::kIncrDouble:
         dadds.emplace_back(ops[i].key, ops[i].ddelta);
         dadd_src.push_back(i);
-        break;
-      case Kind::kIncrInt64:
-        iadds.emplace_back(ops[i].key, ops[i].idelta);
-        iadd_src.push_back(i);
         break;
     }
   }
@@ -201,22 +170,6 @@ Status BatchWriter::Flush() {
       note(r.status());
       if (ops[dadd_src[i]].incr_double_cb != nullptr) {
         ops[dadd_src[i]].incr_double_cb(r);
-      }
-    }
-  }
-  if (!iadds.empty()) {
-    std::vector<Result<int64_t>> results;
-    Status overall;
-    {
-      auto spans = sampled_spans(iadd_src);
-      overall = client_->MultiIncrInt64(iadds, &results);
-    }
-    for (size_t i = 0; i < iadd_src.size(); ++i) {
-      Result<int64_t> r = overall.ok() ? std::move(results[i])
-                                       : Result<int64_t>(overall);
-      note(r.status());
-      if (ops[iadd_src[i]].incr_int64_cb != nullptr) {
-        ops[iadd_src[i]].incr_int64_cb(r);
       }
     }
   }

@@ -16,10 +16,10 @@ namespace tencentrec::tdstore {
 
 /// Write-behind buffer in front of a Client. Callers stage puts and
 /// increments; the writer ships them as grouped Multi* calls when the buffer
-/// reaches `max_ops`, when the oldest staged op exceeds `max_age_micros`, or
-/// on an explicit Flush(). This turns the per-key write storm of the count
-/// and similarity bolts into a handful of per-host batches (the paper's
-/// "combine frequent operations" theme applied to the storage RPC layer).
+/// reaches `max_ops` or on an explicit Flush(). This turns the per-key write
+/// storm of the count and similarity bolts into a handful of per-host
+/// batches (the paper's "combine frequent operations" theme applied to the
+/// storage RPC layer).
 ///
 /// Ordering guarantees: staged ops ship in staging order. Same-key puts
 /// coalesce (last value wins — a pure overwrite needs no history); same-key
@@ -35,14 +35,10 @@ class BatchWriter {
   struct Options {
     /// Auto-flush when this many ops are staged.
     size_t max_ops = 256;
-    /// Auto-flush (on the next staging call) once the oldest staged op is
-    /// older than this. 0 disables age-based flushing.
-    int64_t max_age_micros = 0;
   };
 
   using PutCallback = std::function<void(const Status&)>;
   using IncrDoubleCallback = std::function<void(const Result<double>&)>;
-  using IncrInt64Callback = std::function<void(const Result<int64_t>&)>;
 
   BatchWriter(Client* client, Options options);
 
@@ -56,8 +52,6 @@ class BatchWriter {
   /// once the batch ships.
   void IncrDouble(std::string_view key, double delta,
                   IncrDoubleCallback cb = nullptr);
-  void IncrInt64(std::string_view key, int64_t delta,
-                 IncrInt64Callback cb = nullptr);
 
   /// Ships everything staged. Returns the first per-op error (callbacks see
   /// every individual outcome). Idempotent when empty.
@@ -84,23 +78,21 @@ class BatchWriter {
   int64_t flushes() const { return flushes_; }
 
  private:
-  enum class Kind { kPut, kIncrDouble, kIncrInt64 };
+  enum class Kind { kPut, kIncrDouble };
   struct StagedOp {
     Kind kind;
     std::string key;
     std::string value;  ///< kPut payload
     double ddelta = 0.0;
-    int64_t idelta = 0;
     /// Trace active when the op was staged (0 = unsampled). Flush re-opens
     /// a tdstore.write span under it so a sampled trace still reaches the
     /// store write even though the write ships later in a batch.
     uint64_t trace_id = 0;
     PutCallback put_cb;
     IncrDoubleCallback incr_double_cb;
-    IncrInt64Callback incr_int64_cb;
   };
 
-  /// Applies size/age policy after a staging call.
+  /// Flushes once `max_ops` ops are staged.
   void MaybeAutoFlush();
   /// Flushes first if `key` already has a staged op of a different kind —
   /// partition-by-kind shipping is order-preserving only while each key's
@@ -114,7 +106,6 @@ class BatchWriter {
   std::unordered_map<std::string, Kind> staged_kind_;
   /// Index into ops_ of the live put per key (last-wins coalescing).
   std::unordered_map<std::string, size_t> put_index_;
-  int64_t oldest_staged_micros_ = 0;
   Status last_error_;
   int64_t flushes_ = 0;
   Counter* staged_ops_ = nullptr;

@@ -22,28 +22,8 @@ Status Client::EnsureRoute() {
   return RefreshRoute();
 }
 
-template <typename Op>
-auto Client::WithHost(std::string_view key, Op op) -> decltype(op(nullptr, 0)) {
-  Status ensure = EnsureRoute();
-  if (!ensure.ok()) return ensure;
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    const size_t instance =
-        HashString(key) % route_.placements.size();
-    const InstancePlacement& p = route_.placements[instance];
-    DataServer* host = cluster_->data_server(p.host_server);
-    if (host == nullptr) return Status::Internal("route names bad server");
-    auto result = op(host, p.instance_id);
-    if (result.ok() || !result.status().IsUnavailable() || attempt == 1) {
-      return result;
-    }
-    Status refresh = RefreshRoute();
-    if (!refresh.ok()) return refresh;
-  }
-  return Status::Internal("unreachable");
-}
-
 namespace {
-/// Adapts Status-returning ops to the Result-shaped WithHost contract.
+/// Adapts Status-returning ops to the Result-shaped PointOp contract.
 struct StatusResult {
   Status status_;
   StatusResult(Status s) : status_(std::move(s)) {}  // NOLINT(implicit)
@@ -55,61 +35,65 @@ struct StatusResult {
 // Store ops run under the caller's tuple context (published by the bolt's
 // ScopedSpan), so sampled tuples get a nested store-side span with no
 // signature change here.
-Status Client::Put(std::string_view key, std::string_view value) {
-  ScopedLatencyTimer timer(write_us_);
-  ScopedSpan span(CurrentTraceId(), "tdstore.write");
+template <typename Op>
+auto Client::PointOp(LatencyHistogram* latency, std::string_view span_name,
+                     std::string_view key, Op op) -> decltype(op(nullptr, 0)) {
+  ScopedLatencyTimer timer(latency);
+  ScopedSpan span(CurrentTraceId(), span_name);
   if (point_ops_ != nullptr) point_ops_->Add();
-  auto r = WithHost(key, [&](DataServer* host, int instance) -> StatusResult {
-    return host->Put(instance, key, value);
-  });
-  CountOp(r.status());
-  return r.status();
+  auto result = [&]() -> decltype(op(nullptr, 0)) {
+    Status ensure = EnsureRoute();
+    if (!ensure.ok()) return ensure;
+    for (int attempt = 0;; ++attempt) {
+      const size_t instance = HashString(key) % route_.placements.size();
+      const InstancePlacement& p = route_.placements[instance];
+      DataServer* host = cluster_->data_server(p.host_server);
+      if (host == nullptr) return Status::Internal("route names bad server");
+      auto r = op(host, p.instance_id);
+      if (r.ok() || !r.status().IsUnavailable() || attempt == 1) return r;
+      Status refresh = RefreshRoute();
+      if (!refresh.ok()) return refresh;
+    }
+  }();
+  CountOp(result.status());
+  return result;
+}
+
+Status Client::Put(std::string_view key, std::string_view value) {
+  return PointOp(write_us_, "tdstore.write", key,
+                 [&](DataServer* host, int instance) -> StatusResult {
+                   return host->Put(instance, key, value);
+                 })
+      .status();
 }
 
 Result<std::string> Client::Get(std::string_view key) {
-  ScopedLatencyTimer timer(read_us_);
-  ScopedSpan span(CurrentTraceId(), "tdstore.read");
-  if (point_ops_ != nullptr) point_ops_->Add();
-  auto r = WithHost(key,
-                    [&](DataServer* host, int instance) -> Result<std::string> {
-                      return host->Get(instance, key);
-                    });
-  CountOp(r.status());
-  return r;
+  return PointOp(read_us_, "tdstore.read", key,
+                 [&](DataServer* host, int instance) -> Result<std::string> {
+                   return host->Get(instance, key);
+                 });
 }
 
 Status Client::Delete(std::string_view key) {
-  ScopedLatencyTimer timer(write_us_);
-  ScopedSpan span(CurrentTraceId(), "tdstore.write");
-  if (point_ops_ != nullptr) point_ops_->Add();
-  auto r = WithHost(key, [&](DataServer* host, int instance) -> StatusResult {
-    return host->Delete(instance, key);
-  });
-  CountOp(r.status());
-  return r.status();
+  return PointOp(write_us_, "tdstore.write", key,
+                 [&](DataServer* host, int instance) -> StatusResult {
+                   return host->Delete(instance, key);
+                 })
+      .status();
 }
 
 Result<double> Client::IncrDouble(std::string_view key, double delta) {
-  ScopedLatencyTimer timer(write_us_);
-  ScopedSpan span(CurrentTraceId(), "tdstore.write");
-  if (point_ops_ != nullptr) point_ops_->Add();
-  auto r = WithHost(key, [&](DataServer* host, int instance) -> Result<double> {
-    return host->IncrDouble(instance, key, delta);
-  });
-  CountOp(r.status());
-  return r;
+  return PointOp(write_us_, "tdstore.write", key,
+                 [&](DataServer* host, int instance) -> Result<double> {
+                   return host->IncrDouble(instance, key, delta);
+                 });
 }
 
 Result<int64_t> Client::IncrInt64(std::string_view key, int64_t delta) {
-  ScopedLatencyTimer timer(write_us_);
-  ScopedSpan span(CurrentTraceId(), "tdstore.write");
-  if (point_ops_ != nullptr) point_ops_->Add();
-  auto r =
-      WithHost(key, [&](DataServer* host, int instance) -> Result<int64_t> {
-        return host->IncrInt64(instance, key, delta);
-      });
-  CountOp(r.status());
-  return r;
+  return PointOp(write_us_, "tdstore.write", key,
+                 [&](DataServer* host, int instance) -> Result<int64_t> {
+                   return host->IncrInt64(instance, key, delta);
+                 });
 }
 
 Result<double> Client::GetDouble(std::string_view key, double fallback) {
@@ -129,16 +113,6 @@ Result<int64_t> Client::GetInt64(std::string_view key, int64_t fallback) {
   }
   return DecodeInt64(*raw);
 }
-
-namespace {
-// GroupedDispatch stitches per-item outcomes of heterogeneous shape (Status
-// for puts, Result<T> otherwise); these give it a uniform status view.
-inline const Status& StatusOf(const Status& s) { return s; }
-template <typename T>
-const Status& StatusOf(const Result<T>& r) {
-  return r.status();
-}
-}  // namespace
 
 template <typename KeyOf, typename MakeItem, typename Dispatch, typename OutT>
 Status Client::GroupedDispatch(size_t n, KeyOf key_of, MakeItem make_item,
@@ -259,25 +233,6 @@ Status Client::MultiIncrDouble(
       out);
 }
 
-Status Client::MultiIncrInt64(
-    const std::vector<std::pair<std::string, int64_t>>& adds,
-    std::vector<Result<int64_t>>* out) {
-  ScopedLatencyTimer timer(batch_write_us_);
-  ScopedSpan span(CurrentTraceId(), "tdstore.batch_write");
-  out->assign(adds.size(), Result<int64_t>(Status::Internal("unset")));
-  return GroupedDispatch(
-      adds.size(),
-      [&](size_t i) -> std::string_view { return adds[i].first; },
-      [&](size_t i, int instance_id) {
-        return BatchIncrInt64{instance_id, adds[i].first, adds[i].second};
-      },
-      [](DataServer* host, const std::vector<BatchIncrInt64>& items,
-         std::vector<Result<int64_t>>* batch_out) {
-        return host->MultiIncrInt64(items, batch_out);
-      },
-      out);
-}
-
 Status Client::MultiGetDouble(const std::vector<std::string>& keys,
                               double fallback,
                               std::vector<Result<double>>* out) {
@@ -295,27 +250,6 @@ Status Client::MultiGetDouble(const std::vector<std::string>& keys,
     }
   }
   return Status::OK();
-}
-
-Result<std::vector<std::optional<std::string>>> Client::MultiGet(
-    const std::vector<std::string>& keys) {
-  std::vector<Result<std::string>> raw;
-  Status s = MultiGetBatch(keys, &raw);
-  if (!s.ok()) return s;
-  std::vector<std::optional<std::string>> out;
-  out.reserve(raw.size());
-  for (auto& r : raw) {
-    if (r.ok()) {
-      out.emplace_back(std::move(r).value());
-    } else if (r.status().IsNotFound()) {
-      out.emplace_back(std::nullopt);
-    } else {
-      // Legacy shape can't carry per-key statuses; use MultiGetBatch when
-      // partial results matter.
-      return r.status();
-    }
-  }
-  return out;
 }
 
 Status Client::ScanPrefix(

@@ -1,7 +1,6 @@
 #ifndef TENCENTREC_TDSTORE_CLIENT_H_
 #define TENCENTREC_TDSTORE_CLIENT_H_
 
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,12 +58,6 @@ class Client {
   }
   Result<int64_t> GetInt64(std::string_view key, int64_t fallback = 0);
 
-  /// Legacy multi-get shape: nullopt for missing keys, first hard error
-  /// wins. Now backed by the grouped batch path, so one route-table pass and
-  /// one server call per host instead of a point-get per key.
-  Result<std::vector<std::optional<std::string>>> MultiGet(
-      const std::vector<std::string>& keys);
-
   /// Batched ops. Keys are grouped by instance, instances by current host,
   /// and each host gets ONE call for its whole share; results are stitched
   /// back into input order. On an Unavailable host the affected sub-batch
@@ -82,9 +75,6 @@ class Client {
                   std::vector<Status>* out);
   Status MultiIncrDouble(const std::vector<std::pair<std::string, double>>& adds,
                          std::vector<Result<double>>* out);
-  Status MultiIncrInt64(
-      const std::vector<std::pair<std::string, int64_t>>& adds,
-      std::vector<Result<int64_t>>* out);
   /// Batched GetDouble: missing keys decode as `fallback`.
   Status MultiGetDouble(const std::vector<std::string>& keys, double fallback,
                         std::vector<Result<double>>* out);
@@ -100,10 +90,13 @@ class Client {
  private:
   Status EnsureRoute();
   Status RefreshRoute();
-  /// Runs `op` against the host of `key`'s instance, refreshing the route
-  /// and retrying once if the host is unavailable.
+  /// The one body of the point ops: latency timer, span and point counter
+  /// around `op(host, instance_id)` against the host of `key`'s instance,
+  /// refreshing the route and retrying once if the host is unavailable; the
+  /// final outcome feeds CountOp.
   template <typename Op>
-  auto WithHost(std::string_view key, Op op) -> decltype(op(nullptr, 0));
+  auto PointOp(LatencyHistogram* latency, std::string_view span_name,
+               std::string_view key, Op op) -> decltype(op(nullptr, 0));
   /// Shared grouped-dispatch skeleton behind the Multi* ops; see their
   /// contract above. `key_of(i)` names input i for routing, `make_item(i,
   /// instance_id)` builds the server-side batch item, `dispatch(host, items,

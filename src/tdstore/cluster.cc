@@ -5,6 +5,24 @@
 
 namespace tencentrec::tdstore {
 
+namespace {
+
+/// Engine options for one copy of `instance`: file-backed engines (FDB, RDB)
+/// get a file of their own, named by the copy's `role`.
+EngineOptions CopyEngineOptions(const EngineOptions& base, int instance,
+                                const std::string& role) {
+  EngineOptions engine = base;
+  const std::string suffix = ".i" + std::to_string(instance) + "." + role;
+  if (engine.type == EngineType::kFdb) {
+    engine.fdb_path += suffix + ".fdb";
+  } else if (engine.type == EngineType::kRdb) {
+    engine.rdb_path += suffix + ".rdb";
+  }
+  return engine;
+}
+
+}  // namespace
+
 Cluster::Cluster(const Options& options) : options_(options) {}
 
 Result<std::unique_ptr<Cluster>> Cluster::Create(const Options& options) {
@@ -40,29 +58,15 @@ Status Cluster::Init() {
     p.slave_server =
         replicated ? (inst + 1) % options_.num_data_servers : -1;
 
-    EngineOptions engine = options_.engine;
-    if (engine.type == EngineType::kFdb) {
-      engine.fdb_path = options_.engine.fdb_path + ".i" +
-                        std::to_string(inst) + ".host.fdb";
-    } else if (engine.type == EngineType::kRdb) {
-      engine.rdb_path = options_.engine.rdb_path + ".i" +
-                        std::to_string(inst) + ".host.rdb";
-    }
-    TR_RETURN_IF_ERROR(servers_[static_cast<size_t>(p.host_server)]
-                           ->CreateInstance(inst, engine));
+    TR_RETURN_IF_ERROR(
+        servers_[static_cast<size_t>(p.host_server)]->CreateInstance(
+            inst, CopyEngineOptions(options_.engine, inst, "host")));
     TR_RETURN_IF_ERROR(
         servers_[static_cast<size_t>(p.host_server)]->SetHostRole(inst, true));
     if (replicated) {
-      EngineOptions slave_engine = options_.engine;
-      if (slave_engine.type == EngineType::kFdb) {
-        slave_engine.fdb_path = options_.engine.fdb_path + ".i" +
-                                std::to_string(inst) + ".slave.fdb";
-      } else if (slave_engine.type == EngineType::kRdb) {
-        slave_engine.rdb_path = options_.engine.rdb_path + ".i" +
-                                std::to_string(inst) + ".slave.rdb";
-      }
-      TR_RETURN_IF_ERROR(servers_[static_cast<size_t>(p.slave_server)]
-                             ->CreateInstance(inst, slave_engine));
+      TR_RETURN_IF_ERROR(
+          servers_[static_cast<size_t>(p.slave_server)]->CreateInstance(
+              inst, CopyEngineOptions(options_.engine, inst, "slave")));
       TR_RETURN_IF_ERROR(
           servers_[static_cast<size_t>(p.host_server)]->SetSlave(
               inst, servers_[static_cast<size_t>(p.slave_server)].get()));
@@ -173,17 +177,10 @@ Status Cluster::RecoverDataServer(int server_id) {
     if (server->HasInstance(inst)) {
       TR_RETURN_IF_ERROR(server->ClearInstance(inst));
     } else {
-      EngineOptions engine = options_.engine;
-      if (engine.type == EngineType::kFdb) {
-        engine.fdb_path = options_.engine.fdb_path + ".i" +
-                          std::to_string(inst) + ".recovered" +
-                          std::to_string(table->version) + ".fdb";
-      } else if (engine.type == EngineType::kRdb) {
-        engine.rdb_path = options_.engine.rdb_path + ".i" +
-                          std::to_string(inst) + ".recovered" +
-                          std::to_string(table->version) + ".rdb";
-      }
-      TR_RETURN_IF_ERROR(server->CreateInstance(inst, engine));
+      TR_RETURN_IF_ERROR(server->CreateInstance(
+          inst, CopyEngineOptions(options_.engine, inst,
+                                  "recovered" +
+                                      std::to_string(table->version))));
     }
     TR_RETURN_IF_ERROR(host->CopyInstanceTo(inst, server));
     TR_RETURN_IF_ERROR(host->SetSlave(inst, server));

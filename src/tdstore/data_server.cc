@@ -1,6 +1,7 @@
 #include "tdstore/data_server.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "common/metrics.h"
 #include "tdstore/codec.h"
@@ -82,379 +83,245 @@ Status DataServer::ClearInstance(int instance_id) {
   return Status::OK();
 }
 
-void DataServer::ReplicateLocked(Instance* inst, int instance_id,
-                                 ReplicationRecord&& rec) {
-  if (inst->slave == nullptr || rec.ops.empty()) return;
-  if (sync_replication_) {
-    (void)inst->slave->ApplyReplicatedRecord(instance_id, rec);
-  } else {
-    inst->pending.push_back(std::move(rec));
+namespace {
+
+/// A point op's one item, viewing the caller's buffers (no copies).
+struct PointPut {
+  int instance_id;
+  std::string_view key;
+  std::string_view value;
+};
+template <typename T>
+struct PointIncr {
+  int instance_id;
+  std::string_view key;
+  T delta;
+};
+
+/// The put write (point Put and MultiPut): the logged value is the item's.
+struct PutWrite {
+  template <typename Item>
+  Status operator()(Engine* engine, const Item& item, std::string*,
+                    std::string_view* value) const {
+    *value = item.value;
+    return engine->Put(item.key, item.value);
   }
+};
+
+/// The 8-byte counter codecs, by counter type.
+template <typename T>
+Result<T> DecodeCounter(std::string_view s) {
+  if constexpr (std::is_same_v<T, double>) {
+    return DecodeDouble(s);
+  } else {
+    return DecodeInt64(s);
+  }
+}
+template <typename T>
+void EncodeCounterTo(std::string* out, T v) {
+  if constexpr (std::is_same_v<T, double>) {
+    EncodeDoubleTo(out, v);
+  } else {
+    EncodeInt64To(out, v);
+  }
+}
+
+/// The increment write: read-modify-write of one 8-byte counter (missing
+/// key = 0), logged as the encoded post-increment value so that replay and
+/// replication overwrite rather than re-add.
+template <typename T>
+struct IncrWrite {
+  template <typename Item>
+  Result<T> operator()(Engine* engine, const Item& item, std::string* scratch,
+                       std::string_view* value) const {
+    T current = 0;
+    auto existing = engine->Get(item.key);
+    if (existing.ok()) {
+      Result<T> decoded = DecodeCounter<T>(*existing);
+      if (!decoded.ok()) return decoded.status();
+      current = *decoded;
+    } else if (!existing.status().IsNotFound()) {
+      return existing.status();
+    }
+    const T next = current + item.delta;
+    EncodeCounterTo(scratch, next);
+    TR_RETURN_IF_ERROR(engine->Put(item.key, *scratch));
+    *value = *scratch;
+    return next;
+  }
+};
+
+}  // namespace
+
+template <typename InstanceOf, typename Out, typename Run>
+Status DataServer::RunLoop(size_t n, InstanceOf instance_of, Out* out,
+                           std::atomic<int64_t>* per_item, Run run) const {
+  if (down_.load()) return Status::Unavailable("data server down");
+  invocations_.fetch_add(1, std::memory_order_relaxed);
+  size_t i = 0;
+  while (i < n) {
+    const int instance_id = instance_of(i);
+    size_t j = i + 1;
+    while (j < n && instance_of(j) == instance_id) ++j;
+    Status refused;
+    Status failed;
+    Instance* inst = FindInstance(instance_id);
+    if (inst == nullptr) {
+      refused = Status::NotFound("no instance " + std::to_string(instance_id));
+    } else {
+      InstanceLock lock(inst->mu);
+      if (inst->is_host) {
+        failed = run(inst, instance_id, lock, i, j);
+      } else {
+        refused = Status::Unavailable("not the host replica");
+      }
+    }
+    if (!refused.ok()) {
+      for (size_t k = i; k < j; ++k) out[k] = refused;
+    } else if (per_item != nullptr) {
+      per_item->fetch_add(static_cast<int64_t>(j - i),
+                          std::memory_order_relaxed);
+    }
+    TR_RETURN_IF_ERROR(failed);
+    i = j;
+  }
+  return Status::OK();
+}
+
+template <typename Item, typename Out, typename Write>
+Status DataServer::WriteRuns(const Item* items, size_t n, bool is_delete,
+                             Out* out, Write write) {
+  return RunLoop(
+      n, [items](size_t k) { return items[k].instance_id; }, out, &writes_,
+      [&](Instance* inst, int instance_id, InstanceLock&, size_t i, size_t j) {
+        // Items apply in input order, so same-key writes in one run see
+        // each other. The record is built only when a WAL or a slave will
+        // read it.
+        const bool record = wal_ != nullptr || inst->slave != nullptr;
+        std::vector<WalOp> ops;
+        if (record) ops.reserve(j - i);
+        std::string scratch;
+        for (size_t k = i; k < j; ++k) {
+          std::string_view value;
+          out[k] = write(inst->engine.get(), items[k], &scratch, &value);
+          if (record && StatusOf(out[k]).ok()) {
+            ops.push_back(
+                {is_delete, std::string(items[k].key), std::string(value)});
+          }
+        }
+        return CommitLocked(inst, instance_id, std::move(ops));
+      });
+}
+
+Status DataServer::CommitLocked(Instance* inst, int instance_id,
+                                std::vector<WalOp>&& ops) {
+  if (ops.empty()) return Status::OK();
+  // The whole run is one atomic WAL record: recovery replays all of it or
+  // (past the commit barrier) none of it.
+  if (wal_ != nullptr) {
+    TR_RETURN_IF_ERROR(wal_->AppendOps(instance_id, ops.data(), ops.size()));
+  }
+  if (inst->slave == nullptr) return Status::OK();
+  if (sync_replication_) {
+    (void)inst->slave->ApplyOps(instance_id, ops);
+  } else {
+    inst->pending.push_back(std::move(ops));
+  }
+  return Status::OK();
 }
 
 Status DataServer::Put(int instance_id, std::string_view key,
                        std::string_view value) {
-  if (down_.load()) return Status::Unavailable("data server down");
-  invocations_.fetch_add(1, std::memory_order_relaxed);
-  writes_.fetch_add(1, std::memory_order_relaxed);
-  Instance* inst = FindInstance(instance_id);
-  if (inst == nullptr) {
-    return Status::NotFound("no instance " + std::to_string(instance_id));
-  }
-  std::lock_guard lock(inst->mu);
-  if (!inst->is_host) return Status::Unavailable("not the host replica");
-  if (wal_ != nullptr) {
-    const WalOpView op{false, key, value};
-    TR_RETURN_IF_ERROR(WalAppendLocked(instance_id, &op, 1));
-  }
-  TR_RETURN_IF_ERROR(inst->engine->Put(key, value));
-  ReplicationRecord rec;
-  rec.ops.push_back({std::string(key), std::string(value), false});
-  ReplicateLocked(inst, instance_id, std::move(rec));
-  return Status::OK();
-}
-
-Result<std::string> DataServer::Get(int instance_id,
-                                    std::string_view key) const {
-  if (down_.load()) return Status::Unavailable("data server down");
-  invocations_.fetch_add(1, std::memory_order_relaxed);
-  reads_.fetch_add(1, std::memory_order_relaxed);
-  Instance* inst = FindInstance(instance_id);
-  if (inst == nullptr) {
-    return Status::NotFound("no instance " + std::to_string(instance_id));
-  }
-  {
-    std::lock_guard lock(inst->mu);
-    if (!inst->is_host) return Status::Unavailable("not the host replica");
-  }
-  return inst->engine->Get(key);
+  const PointPut item{instance_id, key, value};
+  Status out;
+  TR_RETURN_IF_ERROR(WriteRuns(&item, 1, /*is_delete=*/false, &out,
+                               PutWrite()));
+  return out;
 }
 
 Status DataServer::Delete(int instance_id, std::string_view key) {
-  if (down_.load()) return Status::Unavailable("data server down");
-  invocations_.fetch_add(1, std::memory_order_relaxed);
-  writes_.fetch_add(1, std::memory_order_relaxed);
-  Instance* inst = FindInstance(instance_id);
-  if (inst == nullptr) {
-    return Status::NotFound("no instance " + std::to_string(instance_id));
-  }
-  std::lock_guard lock(inst->mu);
-  if (!inst->is_host) return Status::Unavailable("not the host replica");
-  if (wal_ != nullptr) {
-    const WalOpView op{true, key, {}};
-    TR_RETURN_IF_ERROR(WalAppendLocked(instance_id, &op, 1));
-  }
-  TR_RETURN_IF_ERROR(inst->engine->Delete(key));
-  ReplicationRecord rec;
-  rec.ops.push_back({std::string(key), std::string(), true});
-  ReplicateLocked(inst, instance_id, std::move(rec));
-  return Status::OK();
+  const PointPut item{instance_id, key, {}};
+  Status out;
+  TR_RETURN_IF_ERROR(WriteRuns(
+      &item, 1, /*is_delete=*/true, &out,
+      [](Engine* engine, const PointPut& it, std::string*, std::string_view*) {
+        return engine->Delete(it.key);
+      }));
+  return out;
 }
-
-namespace {
-
-/// Read-modify-write of one 8-byte double counter. Caller holds the
-/// instance lock. On success writes the encoded new value into `*encoded`.
-Result<double> IncrDoubleLocked(Engine* engine, std::string_view key,
-                                double delta, std::string* encoded) {
-  double current = 0.0;
-  auto existing = engine->Get(key);
-  if (existing.ok()) {
-    auto decoded = DecodeDouble(*existing);
-    if (!decoded.ok()) return decoded.status();
-    current = *decoded;
-  } else if (!existing.status().IsNotFound()) {
-    return existing.status();
-  }
-  double next = current + delta;
-  EncodeDoubleTo(encoded, next);
-  TR_RETURN_IF_ERROR(engine->Put(key, *encoded));
-  return next;
-}
-
-Result<int64_t> IncrInt64Locked(Engine* engine, std::string_view key,
-                                int64_t delta, std::string* encoded) {
-  int64_t current = 0;
-  auto existing = engine->Get(key);
-  if (existing.ok()) {
-    auto decoded = DecodeInt64(*existing);
-    if (!decoded.ok()) return decoded.status();
-    current = *decoded;
-  } else if (!existing.status().IsNotFound()) {
-    return existing.status();
-  }
-  int64_t next = current + delta;
-  EncodeInt64To(encoded, next);
-  TR_RETURN_IF_ERROR(engine->Put(key, *encoded));
-  return next;
-}
-
-}  // namespace
 
 Result<double> DataServer::IncrDouble(int instance_id, std::string_view key,
                                       double delta) {
-  if (down_.load()) return Status::Unavailable("data server down");
-  invocations_.fetch_add(1, std::memory_order_relaxed);
-  writes_.fetch_add(1, std::memory_order_relaxed);
-  Instance* inst = FindInstance(instance_id);
-  if (inst == nullptr) {
-    return Status::NotFound("no instance " + std::to_string(instance_id));
-  }
-  std::lock_guard lock(inst->mu);
-  if (!inst->is_host) return Status::Unavailable("not the host replica");
-  std::string encoded;
-  Result<double> next = IncrDoubleLocked(inst->engine.get(), key, delta,
-                                         &encoded);
-  if (!next.ok()) return next;
-  if (wal_ != nullptr) {
-    // Logged as the encoded post-increment value (same shape replication
-    // ships), so replay is an idempotent overwrite, never a re-add.
-    const WalOpView op{false, key, encoded};
-    TR_RETURN_IF_ERROR(WalAppendLocked(instance_id, &op, 1));
-  }
-  ReplicationRecord rec;
-  rec.ops.push_back({std::string(key), std::move(encoded), false});
-  ReplicateLocked(inst, instance_id, std::move(rec));
-  return next;
+  const PointIncr<double> item{instance_id, key, delta};
+  Result<double> out = Status::Internal("unset");
+  TR_RETURN_IF_ERROR(WriteRuns(&item, 1, /*is_delete=*/false, &out,
+                               IncrWrite<double>()));
+  return out;
 }
 
 Result<int64_t> DataServer::IncrInt64(int instance_id, std::string_view key,
                                       int64_t delta) {
-  if (down_.load()) return Status::Unavailable("data server down");
-  invocations_.fetch_add(1, std::memory_order_relaxed);
-  writes_.fetch_add(1, std::memory_order_relaxed);
-  Instance* inst = FindInstance(instance_id);
-  if (inst == nullptr) {
-    return Status::NotFound("no instance " + std::to_string(instance_id));
-  }
-  std::lock_guard lock(inst->mu);
-  if (!inst->is_host) return Status::Unavailable("not the host replica");
-  std::string encoded;
-  Result<int64_t> next = IncrInt64Locked(inst->engine.get(), key, delta,
-                                         &encoded);
-  if (!next.ok()) return next;
-  if (wal_ != nullptr) {
-    const WalOpView op{false, key, encoded};
-    TR_RETURN_IF_ERROR(WalAppendLocked(instance_id, &op, 1));
-  }
-  ReplicationRecord rec;
-  rec.ops.push_back({std::string(key), std::move(encoded), false});
-  ReplicateLocked(inst, instance_id, std::move(rec));
-  return next;
-}
-
-Status DataServer::MultiGet(const std::vector<BatchGet>& items,
-                            std::vector<Result<std::string>>* out) const {
-  if (down_.load()) return Status::Unavailable("data server down");
-  invocations_.fetch_add(1, std::memory_order_relaxed);
-  out->assign(items.size(), Result<std::string>(Status::Internal("unset")));
-  size_t i = 0;
-  while (i < items.size()) {
-    size_t j = i;
-    while (j < items.size() && items[j].instance_id == items[i].instance_id) {
-      ++j;
-    }
-    Instance* inst = FindInstance(items[i].instance_id);
-    if (inst == nullptr) {
-      Status s = Status::NotFound("no instance " +
-                                  std::to_string(items[i].instance_id));
-      for (size_t k = i; k < j; ++k) (*out)[k] = s;
-      i = j;
-      continue;
-    }
-    std::lock_guard lock(inst->mu);
-    if (!inst->is_host) {
-      Status s = Status::Unavailable("not the host replica");
-      for (size_t k = i; k < j; ++k) (*out)[k] = s;
-      i = j;
-      continue;
-    }
-    for (size_t k = i; k < j; ++k) {
-      reads_.fetch_add(1, std::memory_order_relaxed);
-      (*out)[k] = inst->engine->Get(items[k].key);
-    }
-    i = j;
-  }
-  return Status::OK();
+  const PointIncr<int64_t> item{instance_id, key, delta};
+  Result<int64_t> out = Status::Internal("unset");
+  TR_RETURN_IF_ERROR(WriteRuns(&item, 1, /*is_delete=*/false, &out,
+                               IncrWrite<int64_t>()));
+  return out;
 }
 
 Status DataServer::MultiPut(const std::vector<BatchPut>& items,
                             std::vector<Status>* out) {
-  if (down_.load()) return Status::Unavailable("data server down");
-  invocations_.fetch_add(1, std::memory_order_relaxed);
   out->assign(items.size(), Status::Internal("unset"));
-  size_t i = 0;
-  while (i < items.size()) {
-    size_t j = i;
-    while (j < items.size() && items[j].instance_id == items[i].instance_id) {
-      ++j;
-    }
-    Instance* inst = FindInstance(items[i].instance_id);
-    if (inst == nullptr) {
-      Status s = Status::NotFound("no instance " +
-                                  std::to_string(items[i].instance_id));
-      for (size_t k = i; k < j; ++k) (*out)[k] = s;
-      i = j;
-      continue;
-    }
-    std::lock_guard lock(inst->mu);
-    if (!inst->is_host) {
-      Status s = Status::Unavailable("not the host replica");
-      for (size_t k = i; k < j; ++k) (*out)[k] = s;
-      i = j;
-      continue;
-    }
-    ReplicationRecord rec;
-    std::vector<WalOpView> wal_ops;
-    if (wal_ != nullptr) wal_ops.reserve(j - i);
-    for (size_t k = i; k < j; ++k) {
-      writes_.fetch_add(1, std::memory_order_relaxed);
-      Status s = inst->engine->Put(items[k].key, items[k].value);
-      (*out)[k] = s;
-      if (s.ok() && inst->slave != nullptr) {
-        rec.ops.push_back({items[k].key, items[k].value, false});
-      }
-      if (s.ok() && wal_ != nullptr) {
-        wal_ops.push_back({false, items[k].key, items[k].value});
-      }
-    }
-    // The whole run is one atomic WAL record: recovery replays all of it or
-    // (past the commit barrier) none of it.
-    TR_RETURN_IF_ERROR(WalAppendLocked(items[i].instance_id, wal_ops.data(),
-                                       wal_ops.size()));
-    ReplicateLocked(inst, items[i].instance_id, std::move(rec));
-    i = j;
-  }
-  return Status::OK();
+  return WriteRuns(items.data(), items.size(), /*is_delete=*/false,
+                   out->data(), PutWrite());
 }
 
 Status DataServer::MultiIncrDouble(const std::vector<BatchIncrDouble>& items,
                                    std::vector<Result<double>>* out) {
-  if (down_.load()) return Status::Unavailable("data server down");
-  invocations_.fetch_add(1, std::memory_order_relaxed);
   out->assign(items.size(), Result<double>(Status::Internal("unset")));
-  size_t i = 0;
-  while (i < items.size()) {
-    size_t j = i;
-    while (j < items.size() && items[j].instance_id == items[i].instance_id) {
-      ++j;
-    }
-    Instance* inst = FindInstance(items[i].instance_id);
-    if (inst == nullptr) {
-      Status s = Status::NotFound("no instance " +
-                                  std::to_string(items[i].instance_id));
-      for (size_t k = i; k < j; ++k) (*out)[k] = s;
-      i = j;
-      continue;
-    }
-    std::lock_guard lock(inst->mu);
-    if (!inst->is_host) {
-      Status s = Status::Unavailable("not the host replica");
-      for (size_t k = i; k < j; ++k) (*out)[k] = s;
-      i = j;
-      continue;
-    }
-    ReplicationRecord rec;
-    std::vector<WalOpView> wal_ops;
-    // Reserved upfront so views into wal_vals stay stable across push_back.
-    std::vector<std::string> wal_vals;
-    if (wal_ != nullptr) {
-      wal_ops.reserve(j - i);
-      wal_vals.reserve(j - i);
-    }
-    std::string encoded;
-    for (size_t k = i; k < j; ++k) {
-      writes_.fetch_add(1, std::memory_order_relaxed);
-      Result<double> r = IncrDoubleLocked(inst->engine.get(), items[k].key,
-                                          items[k].delta, &encoded);
-      if (r.ok() && inst->slave != nullptr) {
-        rec.ops.push_back({items[k].key, encoded, false});
-      }
-      if (r.ok() && wal_ != nullptr) {
-        wal_vals.push_back(encoded);
-        wal_ops.push_back({false, items[k].key, wal_vals.back()});
-      }
-      (*out)[k] = std::move(r);
-    }
-    TR_RETURN_IF_ERROR(WalAppendLocked(items[i].instance_id, wal_ops.data(),
-                                       wal_ops.size()));
-    ReplicateLocked(inst, items[i].instance_id, std::move(rec));
-    i = j;
-  }
-  return Status::OK();
+  return WriteRuns(items.data(), items.size(), /*is_delete=*/false,
+                   out->data(), IncrWrite<double>());
 }
 
-Status DataServer::MultiIncrInt64(const std::vector<BatchIncrInt64>& items,
-                                  std::vector<Result<int64_t>>* out) {
-  if (down_.load()) return Status::Unavailable("data server down");
-  invocations_.fetch_add(1, std::memory_order_relaxed);
-  out->assign(items.size(), Result<int64_t>(Status::Internal("unset")));
-  size_t i = 0;
-  while (i < items.size()) {
-    size_t j = i;
-    while (j < items.size() && items[j].instance_id == items[i].instance_id) {
-      ++j;
-    }
-    Instance* inst = FindInstance(items[i].instance_id);
-    if (inst == nullptr) {
-      Status s = Status::NotFound("no instance " +
-                                  std::to_string(items[i].instance_id));
-      for (size_t k = i; k < j; ++k) (*out)[k] = s;
-      i = j;
-      continue;
-    }
-    std::lock_guard lock(inst->mu);
-    if (!inst->is_host) {
-      Status s = Status::Unavailable("not the host replica");
-      for (size_t k = i; k < j; ++k) (*out)[k] = s;
-      i = j;
-      continue;
-    }
-    ReplicationRecord rec;
-    std::vector<WalOpView> wal_ops;
-    // Reserved upfront so views into wal_vals stay stable across push_back.
-    std::vector<std::string> wal_vals;
-    if (wal_ != nullptr) {
-      wal_ops.reserve(j - i);
-      wal_vals.reserve(j - i);
-    }
-    std::string encoded;
-    for (size_t k = i; k < j; ++k) {
-      writes_.fetch_add(1, std::memory_order_relaxed);
-      Result<int64_t> r = IncrInt64Locked(inst->engine.get(), items[k].key,
-                                          items[k].delta, &encoded);
-      if (r.ok() && inst->slave != nullptr) {
-        rec.ops.push_back({items[k].key, encoded, false});
-      }
-      if (r.ok() && wal_ != nullptr) {
-        wal_vals.push_back(encoded);
-        wal_ops.push_back({false, items[k].key, wal_vals.back()});
-      }
-      (*out)[k] = std::move(r);
-    }
-    TR_RETURN_IF_ERROR(WalAppendLocked(items[i].instance_id, wal_ops.data(),
-                                       wal_ops.size()));
-    ReplicateLocked(inst, items[i].instance_id, std::move(rec));
-    i = j;
-  }
-  return Status::OK();
+Result<std::string> DataServer::Get(int instance_id,
+                                    std::string_view key) const {
+  Result<std::string> out = Status::Internal("unset");
+  TR_RETURN_IF_ERROR(RunLoop(
+      1, [instance_id](size_t) { return instance_id; }, &out, &reads_,
+      [&](Instance* inst, int, InstanceLock& lock, size_t, size_t) {
+        lock.unlock();  // the engine serializes its own reads
+        out = inst->engine->Get(key);
+        return Status::OK();
+      }));
+  return out;
+}
+
+Status DataServer::MultiGet(const std::vector<BatchGet>& items,
+                            std::vector<Result<std::string>>* out) const {
+  out->assign(items.size(), Result<std::string>(Status::Internal("unset")));
+  return RunLoop(
+      items.size(), [&items](size_t k) { return items[k].instance_id; },
+      out->data(), &reads_,
+      [&](Instance* inst, int, InstanceLock&, size_t i, size_t j) {
+        for (size_t k = i; k < j; ++k) {
+          (*out)[k] = inst->engine->Get(items[k].key);
+        }
+        return Status::OK();
+      });
 }
 
 Status DataServer::ScanPrefix(
     int instance_id, std::string_view prefix,
     const std::function<bool(std::string_view, std::string_view)>& visitor)
     const {
-  if (down_.load()) return Status::Unavailable("data server down");
-  invocations_.fetch_add(1, std::memory_order_relaxed);
-  Instance* inst = FindInstance(instance_id);
-  if (inst == nullptr) {
-    return Status::NotFound("no instance " + std::to_string(instance_id));
-  }
-  {
-    std::lock_guard lock(inst->mu);
-    if (!inst->is_host) return Status::Unavailable("not the host replica");
-  }
-  return inst->engine->ScanPrefix(prefix, visitor);
+  Status out;
+  TR_RETURN_IF_ERROR(RunLoop(
+      1, [instance_id](size_t) { return instance_id; }, &out, nullptr,
+      [&](Instance* inst, int, InstanceLock& lock, size_t, size_t) {
+        lock.unlock();
+        out = inst->engine->ScanPrefix(prefix, visitor);
+        return Status::OK();
+      }));
+  return out;
 }
 
 Status DataServer::FlushReplication() {
@@ -465,7 +332,7 @@ Status DataServer::FlushReplication() {
     for (auto& [id, inst] : instances_) snapshot.emplace_back(id, inst.get());
   }
   for (auto& [id, inst] : snapshot) {
-    std::deque<ReplicationRecord> pending;
+    std::deque<std::vector<WalOp>> pending;
     DataServer* slave;
     {
       std::lock_guard lock(inst->mu);
@@ -473,8 +340,8 @@ Status DataServer::FlushReplication() {
       slave = inst->slave;
     }
     if (slave == nullptr) continue;
-    for (const auto& rec : pending) {
-      Status s = slave->ApplyReplicatedRecord(id, rec);
+    for (const auto& ops : pending) {
+      Status s = slave->ApplyOps(id, ops);
       if (!s.ok() && !s.IsUnavailable()) return s;
     }
   }
@@ -486,50 +353,31 @@ size_t DataServer::PendingReplication() const {
   size_t n = 0;
   for (const auto& [id, inst] : instances_) {
     std::lock_guard ilock(inst->mu);
-    for (const auto& rec : inst->pending) n += rec.ops.size();
+    for (const auto& ops : inst->pending) n += ops.size();
   }
   return n;
 }
 
-Status DataServer::ApplyReplicated(int instance_id, const ReplicationOp& op) {
+Status DataServer::ApplyOps(int instance_id, const std::vector<WalOp>& ops) {
   if (down_.load()) return Status::Unavailable("data server down");
   Instance* inst = FindInstance(instance_id);
   if (inst == nullptr) {
     return Status::NotFound("no instance " + std::to_string(instance_id));
   }
   std::lock_guard lock(inst->mu);
-  // Slaves apply verbatim and never cascade.
-  if (op.is_delete) return inst->engine->Delete(op.key);
-  return inst->engine->Put(op.key, op.value);
-}
-
-Status DataServer::ApplyReplicatedRecord(int instance_id,
-                                         const ReplicationRecord& rec) {
-  if (down_.load()) return Status::Unavailable("data server down");
-  Instance* inst = FindInstance(instance_id);
-  if (inst == nullptr) {
-    return Status::NotFound("no instance " + std::to_string(instance_id));
-  }
-  std::lock_guard lock(inst->mu);
-  bool all_puts = true;
-  for (const auto& op : rec.ops) {
-    if (op.is_delete) {
-      all_puts = false;
-      break;
-    }
-  }
-  if (all_puts && rec.ops.size() > 1) {
+  Engine* engine = inst->engine.get();
+  const bool all_puts =
+      std::none_of(ops.begin(), ops.end(),
+                   [](const WalOp& op) { return op.is_delete; });
+  if (all_puts && ops.size() > 1) {
     std::vector<std::pair<std::string, std::string>> kvs;
-    kvs.reserve(rec.ops.size());
-    for (const auto& op : rec.ops) kvs.emplace_back(op.key, op.value);
-    return inst->engine->MultiPut(kvs);
+    kvs.reserve(ops.size());
+    for (const WalOp& op : ops) kvs.emplace_back(op.key, op.value);
+    return engine->MultiPut(kvs);
   }
-  for (const auto& op : rec.ops) {
-    if (op.is_delete) {
-      TR_RETURN_IF_ERROR(inst->engine->Delete(op.key));
-    } else {
-      TR_RETURN_IF_ERROR(inst->engine->Put(op.key, op.value));
-    }
+  for (const WalOp& op : ops) {
+    TR_RETURN_IF_ERROR(op.is_delete ? engine->Delete(op.key)
+                                    : engine->Put(op.key, op.value));
   }
   return Status::OK();
 }
@@ -540,17 +388,21 @@ Status DataServer::CopyInstanceTo(int instance_id, DataServer* target) const {
   if (inst == nullptr) {
     return Status::NotFound("no instance " + std::to_string(instance_id));
   }
+  // Shipped as put records of up to kChunk keys: one target lock per chunk,
+  // on the engine's MultiPut path.
+  constexpr size_t kChunk = 1024;
+  std::vector<WalOp> chunk;
   Status status = Status::OK();
-  Status scan = inst->engine->ScanPrefix(
+  TR_RETURN_IF_ERROR(inst->engine->ScanPrefix(
       "", [&](std::string_view key, std::string_view value) {
-        ReplicationOp op;
-        op.key = std::string(key);
-        op.value = std::string(value);
-        status = target->ApplyReplicated(instance_id, op);
+        chunk.push_back({false, std::string(key), std::string(value)});
+        if (chunk.size() < kChunk) return true;
+        status = target->ApplyOps(instance_id, chunk);
+        chunk.clear();
         return status.ok();
-      });
-  TR_RETURN_IF_ERROR(scan);
-  return status;
+      }));
+  TR_RETURN_IF_ERROR(status);
+  return chunk.empty() ? Status::OK() : target->ApplyOps(instance_id, chunk);
 }
 
 size_t DataServer::TotalKeys() const {
@@ -558,12 +410,6 @@ size_t DataServer::TotalKeys() const {
   size_t n = 0;
   for (const auto& [id, inst] : instances_) n += inst->engine->Count();
   return n;
-}
-
-Status DataServer::WalAppendLocked(int instance_id, const WalOpView* ops,
-                                   size_t count) {
-  if (wal_ == nullptr || count == 0) return Status::OK();
-  return wal_->AppendOps(instance_id, ops, count);
 }
 
 std::string DataServer::SnapshotPath(int instance_id) const {
@@ -606,26 +452,14 @@ Status DataServer::RecoverDurable(uint64_t commit_barrier) {
     TR_RETURN_IF_ERROR(s);
   }
   // Drop everything past the cluster-wide commit point, then redo the
-  // surviving suffix. Replay writes straight into the engines: these are
-  // absolute values whose replication happens when the cluster re-seeds
-  // slaves from the recovered hosts.
+  // surviving suffix through the one applier: absolute values, installed
+  // without logging or replicating them again — the cluster re-seeds slaves
+  // from the recovered hosts.
   TR_RETURN_IF_ERROR(wal_->TruncateToBarrier(commit_barrier));
   uint64_t replayed = 0;
   for (const WalRecord& rec : wal_->recovered()) {
     if (rec.kind != WalRecord::Kind::kOps) continue;
-    Instance* inst = FindInstance(rec.instance_id);
-    if (inst == nullptr) {
-      return Status::Internal("wal names unknown instance " +
-                              std::to_string(rec.instance_id));
-    }
-    std::lock_guard lock(inst->mu);
-    for (const WalOp& op : rec.ops) {
-      if (op.is_delete) {
-        TR_RETURN_IF_ERROR(inst->engine->Delete(op.key));
-      } else {
-        TR_RETURN_IF_ERROR(inst->engine->Put(op.key, op.value));
-      }
-    }
+    TR_RETURN_IF_ERROR(ApplyOps(rec.instance_id, rec.ops));
     ++replayed;
   }
   wal_->DropRecovered();

@@ -16,22 +16,6 @@
 
 namespace tencentrec::tdstore {
 
-class DataServer;
-
-/// One replication op queued from a host instance to its slave.
-struct ReplicationOp {
-  std::string key;
-  std::string value;
-  bool is_delete = false;
-};
-
-/// A group of ops shipped host→slave as one unit. Point ops produce one-op
-/// records; batch entry points ship the whole per-instance run as a single
-/// record, so replication cost scales with batches, not keys.
-struct ReplicationRecord {
-  std::vector<ReplicationOp> ops;
-};
-
 /// Per-item inputs for the batch entry points. `instance_id` is carried per
 /// item so one server call can span every instance this server hosts; the
 /// caller is expected to sort items so same-instance ops are contiguous
@@ -50,21 +34,23 @@ struct BatchIncrDouble {
   std::string key;
   double delta = 0.0;
 };
-struct BatchIncrInt64 {
-  int instance_id = 0;
-  std::string key;
-  int64_t delta = 0;
-};
 
 /// A TDStore data server hosting multiple data instances (shards). Backup is
 /// done "in the granularity of data instance" (§3.3): this server may be
 /// the host of instance 3 and the slave of instance 7 simultaneously, so
 /// all servers serve traffic at once.
 ///
-/// Replication is host-driven: after an update the host notifies the slave,
-/// which applies it "when idle" — modeled as a per-instance pending queue
-/// drained by FlushReplication() (or synchronously when
-/// `sync_replication` is set, which the failover tests use).
+/// Replication is host-driven: after an update the host passes the slave the
+/// same op record it logged to its WAL — absolute post-op values, so applying
+/// it is an idempotent overwrite. The slave applies it "when idle", modeled
+/// as a per-instance pending queue drained by FlushReplication(), or
+/// synchronously when `sync_replication` is set (the failover tests).
+///
+/// Every client entry point, point or batch, runs through one run loop:
+/// items split into same-instance runs, each run checked for the instance
+/// and the host role under the instance lock, and each run of writes
+/// committed as one WAL record plus one replication record. A point op is a
+/// run of one.
 class DataServer {
  public:
   DataServer(int server_id, bool sync_replication)
@@ -81,7 +67,7 @@ class DataServer {
   /// operations are only served in the host role — "only the host data
   /// server provides service for a certain data instance" (§3.3); a stale
   /// client hitting a demoted replica gets Unavailable and refreshes its
-  /// route table. Replication traffic (ApplyReplicated) is exempt.
+  /// route table. Replication traffic (ApplyOps) is exempt.
   Status SetHostRole(int instance_id, bool is_host);
 
   /// Wipes all data of a local instance (admin path used when re-seeding a
@@ -130,8 +116,6 @@ class DataServer {
                   std::vector<Status>* out);
   Status MultiIncrDouble(const std::vector<BatchIncrDouble>& items,
                          std::vector<Result<double>>* out);
-  Status MultiIncrInt64(const std::vector<BatchIncrInt64>& items,
-                        std::vector<Result<int64_t>>* out);
 
   /// Drains pending replication ops for all hosted instances.
   Status FlushReplication();
@@ -139,15 +123,15 @@ class DataServer {
   /// Number of pending (not yet replicated) ops across instances.
   size_t PendingReplication() const;
 
-  /// Applies a replicated op coming from a host server.
-  Status ApplyReplicated(int instance_id, const ReplicationOp& op);
+  /// The one applier: installs an op record verbatim on the local copy of
+  /// `instance_id`, in any role, without logging or cascading it. Used for
+  /// host→slave replication, WAL replay and re-seeding. An all-put record
+  /// goes through the engine's MultiPut fast path.
+  Status ApplyOps(int instance_id, const std::vector<WalOp>& ops);
 
-  /// Applies a batched replication record coming from a host server. An
-  /// all-put record goes through the engine's MultiPut fast path.
-  Status ApplyReplicatedRecord(int instance_id, const ReplicationRecord& rec);
-
-  /// Copies the full content of `instance_id` into `target` (used to
-  /// re-seed a replacement slave after failover/recovery).
+  /// Copies the full content of `instance_id` into `target` through
+  /// target->ApplyOps (used to re-seed a replacement slave after
+  /// failover/recovery).
   Status CopyInstanceTo(int instance_id, DataServer* target) const;
 
   /// --- durable state (DESIGN.md §14) ---
@@ -197,8 +181,9 @@ class DataServer {
   /// Total keys across hosted instances.
   size_t TotalKeys() const;
 
-  /// Operation counters (reads = Get, writes = Put/Delete/Incr/replicated).
-  /// The combiner and cache ablation benches measure load with these.
+  /// Operation counters: reads = items read, writes = items written, each
+  /// counted once a host run accepts it. The combiner and cache ablation
+  /// benches measure load with these.
   int64_t reads() const { return reads_.load(); }
   int64_t writes() const { return writes_.load(); }
   /// Client-facing entry calls: each point op and each Multi* batch counts
@@ -216,7 +201,8 @@ class DataServer {
     std::unique_ptr<Engine> engine;
     bool is_host = false;
     DataServer* slave = nullptr;
-    std::deque<ReplicationRecord> pending;
+    /// Op records waiting for the slave (async replication), in log order.
+    std::deque<std::vector<WalOp>> pending;
     /// Serializes read-modify-write (Incr) and the replication queue.
     /// Profiled (DESIGN.md §13): each Multi* batch holds it for the whole
     /// run, so this is where write-side lock time concentrates — the
@@ -224,13 +210,36 @@ class DataServer {
     mutable ProfiledMutex mu{"tdstore.instance"};
   };
 
+  using InstanceLock = std::unique_lock<ProfiledMutex>;
+
   Instance* FindInstance(int instance_id) const;
-  /// Ships or queues one record for `inst`'s slave. Caller holds inst->mu.
-  void ReplicateLocked(Instance* inst, int instance_id,
-                       ReplicationRecord&& rec);
-  /// Appends one op record for `instance_id` (no-op with no WAL or no ops).
-  /// Caller holds the instance lock, so the log order matches apply order.
-  Status WalAppendLocked(int instance_id, const WalOpView* ops, size_t count);
+
+  /// The run loop behind every client entry point. Checks the server is up,
+  /// counts one invocation, and splits items [0, n) into maximal runs of
+  /// equal `instance_of(k)`. For each run it finds the instance, locks it and
+  /// checks the host role; a run failing either check gets that status in
+  /// every `out[k]`. Otherwise it calls `run(inst, instance_id, lock, i, j)`,
+  /// which fills out[i..j) and may release the lock early (point reads do),
+  /// and then adds the run's length to `per_item` (when set). A non-OK
+  /// status from `run` ends the call.
+  template <typename InstanceOf, typename Out, typename Run>
+  Status RunLoop(size_t n, InstanceOf instance_of, Out* out,
+                 std::atomic<int64_t>* per_item, Run run) const;
+
+  /// Writes over the run loop. `write(engine, item, &scratch, &value)`
+  /// applies one item to the host engine and points `value` at the absolute
+  /// value it left (unused for deletes). Each run's successful items become
+  /// one op record, committed by CommitLocked.
+  template <typename Item, typename Out, typename Write>
+  Status WriteRuns(const Item* items, size_t n, bool is_delete, Out* out,
+                   Write write);
+
+  /// The commit step of a run of writes, under inst->mu after the host
+  /// engine applied them: logs `ops` as one WAL record, then applies
+  /// (sync) or queues (async) the same record on the slave.
+  Status CommitLocked(Instance* inst, int instance_id,
+                      std::vector<WalOp>&& ops);
+
   std::string SnapshotPath(int instance_id) const;
 
   const int server_id_;

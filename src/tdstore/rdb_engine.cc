@@ -1,38 +1,6 @@
 #include "tdstore/rdb_engine.h"
 
-#include <cstdio>
-#include <cstring>
-
-#include "common/crc32.h"
-#include "common/strings.h"
-
 namespace tencentrec::tdstore {
-
-namespace {
-
-// Snapshot format: [u32 crc over body][u32 count] then per entry
-// [u32 key_len][u32 value_len][key][value].
-std::string EncodeSnapshot(
-    const std::unordered_map<std::string, std::string>& map) {
-  std::string body;
-  uint32_t count = static_cast<uint32_t>(map.size());
-  body.append(reinterpret_cast<const char*>(&count), 4);
-  for (const auto& [key, value] : map) {
-    uint32_t key_len = static_cast<uint32_t>(key.size());
-    uint32_t value_len = static_cast<uint32_t>(value.size());
-    body.append(reinterpret_cast<const char*>(&key_len), 4);
-    body.append(reinterpret_cast<const char*>(&value_len), 4);
-    body += key;
-    body += value;
-  }
-  uint32_t crc = Crc32(body);
-  std::string out;
-  out.append(reinterpret_cast<const char*>(&crc), 4);
-  out += body;
-  return out;
-}
-
-}  // namespace
 
 Result<std::unique_ptr<RdbEngine>> RdbEngine::Open(
     const EngineOptions& options) {
@@ -41,121 +9,42 @@ Result<std::unique_ptr<RdbEngine>> RdbEngine::Open(
   }
   std::unique_ptr<RdbEngine> engine(
       new RdbEngine(options.rdb_path, options.rdb_snapshot_interval_ops));
-  Status s = engine->Load();
-  if (!s.ok()) return s;
+  Status s = engine->RestoreFrom(options.rdb_path);
+  if (!s.ok() && !s.IsNotFound()) return s;  // NotFound: no snapshot yet
   return engine;
 }
 
-Status RdbEngine::Load() {
-  std::lock_guard lock(mu_);
-  std::FILE* f = std::fopen(path_.c_str(), "rb");
-  if (f == nullptr) return Status::OK();  // no snapshot yet
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  std::string data(static_cast<size_t>(size), '\0');
-  const size_t read = std::fread(data.data(), 1, data.size(), f);
-  std::fclose(f);
-  if (read != data.size() || data.size() < 8) {
-    return Status::Corruption("rdb snapshot unreadable: " + path_);
-  }
-  uint32_t crc;
-  std::memcpy(&crc, data.data(), 4);
-  if (Crc32(data.data() + 4, data.size() - 4) != crc) {
-    return Status::Corruption("rdb snapshot crc mismatch: " + path_);
-  }
-  size_t pos = 4;
-  uint32_t count;
-  std::memcpy(&count, data.data() + pos, 4);
-  pos += 4;
-  for (uint32_t i = 0; i < count; ++i) {
-    if (pos + 8 > data.size()) {
-      return Status::Corruption("rdb snapshot truncated: " + path_);
-    }
-    uint32_t key_len, value_len;
-    std::memcpy(&key_len, data.data() + pos, 4);
-    std::memcpy(&value_len, data.data() + pos + 4, 4);
-    pos += 8;
-    if (pos + key_len + value_len > data.size()) {
-      return Status::Corruption("rdb snapshot truncated: " + path_);
-    }
-    std::string key = data.substr(pos, key_len);
-    pos += key_len;
-    map_[std::move(key)] = data.substr(pos, value_len);
-    pos += value_len;
-  }
-  return Status::OK();
-}
-
-Status RdbEngine::SnapshotLocked() {
-  const std::string tmp = path_ + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return Status::IOError("cannot open " + tmp);
-  const std::string data = EncodeSnapshot(map_);
-  const bool ok = std::fwrite(data.data(), 1, data.size(), f) == data.size();
-  std::fflush(f);
-  std::fclose(f);
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return Status::IOError("snapshot write failed: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    return Status::IOError("snapshot rename failed: " + path_);
-  }
-  mutations_since_snapshot_ = 0;
-  ++snapshots_;
-  return Status::OK();
-}
-
-Status RdbEngine::AfterMutationLocked() {
-  ++mutations_since_snapshot_;
-  if (snapshot_interval_ops_ > 0 &&
-      mutations_since_snapshot_ >= snapshot_interval_ops_) {
-    return SnapshotLocked();
+Status RdbEngine::AfterMutations(size_t n) {
+  const int64_t pending =
+      mutations_since_snapshot_.fetch_add(static_cast<int64_t>(n)) +
+      static_cast<int64_t>(n);
+  if (snapshot_interval_ops_ > 0 && pending >= snapshot_interval_ops_) {
+    return Flush();
   }
   return Status::OK();
 }
 
 Status RdbEngine::Put(std::string_view key, std::string_view value) {
-  std::lock_guard lock(mu_);
-  map_[std::string(key)] = std::string(value);
-  return AfterMutationLocked();
+  TR_RETURN_IF_ERROR(MdbEngine::Put(key, value));
+  return AfterMutations(1);
 }
 
-Result<std::string> RdbEngine::Get(std::string_view key) const {
-  std::lock_guard lock(mu_);
-  auto it = map_.find(std::string(key));
-  if (it == map_.end()) return Status::NotFound();
-  return it->second;
+Status RdbEngine::MultiPut(
+    const std::vector<std::pair<std::string, std::string>>& kvs) {
+  TR_RETURN_IF_ERROR(MdbEngine::MultiPut(kvs));
+  return AfterMutations(kvs.size());
 }
 
 Status RdbEngine::Delete(std::string_view key) {
-  std::lock_guard lock(mu_);
-  map_.erase(std::string(key));
-  return AfterMutationLocked();
-}
-
-Status RdbEngine::ScanPrefix(
-    std::string_view prefix,
-    const std::function<bool(std::string_view, std::string_view)>& visitor)
-    const {
-  std::lock_guard lock(mu_);
-  for (const auto& [k, v] : map_) {
-    if (StartsWith(k, prefix)) {
-      if (!visitor(k, v)) break;
-    }
-  }
-  return Status::OK();
-}
-
-size_t RdbEngine::Count() const {
-  std::lock_guard lock(mu_);
-  return map_.size();
+  TR_RETURN_IF_ERROR(MdbEngine::Delete(key));
+  return AfterMutations(1);
 }
 
 Status RdbEngine::Flush() {
-  std::lock_guard lock(mu_);
-  return SnapshotLocked();
+  mutations_since_snapshot_.store(0);
+  TR_RETURN_IF_ERROR(SnapshotTo(path_));
+  snapshots_.fetch_add(1);
+  return Status::OK();
 }
 
 }  // namespace tencentrec::tdstore

@@ -205,11 +205,10 @@ Status Wal::Append(const WalRecord& record) {
                              record.kind == WalRecord::Kind::kBarrier);
 }
 
-Status Wal::AppendOps(int32_t instance_id, const WalOpView* ops,
-                      size_t count) {
+Status Wal::AppendOps(int32_t instance_id, const WalOp* ops, size_t count) {
   std::lock_guard<std::mutex> lock(mu_);
   // Same payload EncodeWalRecord produces for a kOps record, built into the
-  // reusable scratch buffer straight from the caller's views.
+  // reusable scratch buffer straight from the caller's ops.
   std::string& payload = encode_buf_;
   payload.clear();
   size_t need = 1 + 4 + 8 + 4;

@@ -14,25 +14,18 @@
 
 namespace tencentrec::tdstore {
 
-/// One logged mutation. The WAL is a *redo log of absolute values*: Incr
-/// results are logged as the encoded post-increment value, never as deltas,
-/// so replaying any suffix of the log over any state that already contains
-/// its effects is idempotent — which is what lets a checkpoint snapshot race
-/// benignly with appends and lets recovery replay without tracking applied
-/// positions per key.
+/// One logged mutation, and the one op record of TDStore: a host logs a run
+/// of these to its WAL and passes the same run to the instance's slave. The
+/// WAL is a *redo log of absolute values*: Incr results are logged as the
+/// encoded post-increment value, never as deltas, so replaying any suffix of
+/// the log over any state that already contains its effects is idempotent —
+/// which is what lets a checkpoint snapshot race benignly with appends, lets
+/// recovery replay without tracking applied positions per key, and lets a
+/// slave apply a record by overwriting.
 struct WalOp {
   bool is_delete = false;
   std::string key;
   std::string value;
-};
-
-/// Borrowed view of one mutation for the zero-copy append path: the apply
-/// path logs straight from the caller's key/value buffers without building
-/// WalOp strings. Views must outlive the AppendOps call only.
-struct WalOpView {
-  bool is_delete = false;
-  std::string_view key;
-  std::string_view value;
 };
 
 /// One crc-framed WAL record: either an atomic batch of ops against one
@@ -87,11 +80,10 @@ class Wal {
   /// the durability point); op records follow the sync policy.
   Status Append(const WalRecord& record);
 
-  /// Zero-copy append of one kOps record: encodes straight from the views
-  /// into a reusable scratch buffer (no WalOp/WalRecord construction). This
-  /// is the hot apply-path entry — the wal_overhead_pct budget is measured
-  /// against it.
-  Status AppendOps(int32_t instance_id, const WalOpView* ops, size_t count);
+  /// Appends one kOps record: encodes straight from `ops` into a reusable
+  /// scratch buffer (no WalRecord construction). This is the hot apply-path
+  /// entry — the wal_overhead_pct budget is measured against it.
+  Status AppendOps(int32_t instance_id, const WalOp* ops, size_t count);
 
   /// Forces buffered appends to disk now (checkpoint prologue, tests).
   Status Sync();

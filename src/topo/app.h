@@ -60,16 +60,6 @@ struct AppOptions {
   /// Tick interval (executed tuples) at which combiners flush.
   int combiner_interval = 64;
 
-  // --- host-aware batched store I/O ---
-  // Every bolt's writes (combiner flushes included) stage on a BatchWriter
-  // and ship as grouped per-host Multi* calls instead of one store op per
-  // key.
-  /// BatchWriter auto-flush threshold (staged ops).
-  size_t store_batch_max_ops = 256;
-  /// BatchWriter max staging age before auto-flush; 0 = flush only on
-  /// size/explicit Flush (bolt ticks already bound staleness).
-  int64_t store_batch_max_age_micros = 0;
-
   // --- batched query tier (read-side mirror of the write batching) ---
   // StoreQuery plans each query's full key set, dedupes repeated keys, and
   // issues grouped MultiGets through a QueryCache (short-TTL positive +

@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "core/ctr.h"
+#include "core/itemcf/window_counts.h"
 #include "core/rating.h"
 #include "topo/blob_codec.h"
 #include "topo/query.h"
@@ -45,17 +46,14 @@ bool UpsertScored(core::Recommendations* list, core::ItemId other,
 void StoreBolt::Prepare(const tstorm::TaskContext& ctx) {
   ctx_ = ctx;
   client_ = std::make_unique<tdstore::Client>(app_->store);
-  cache_ = std::make_unique<StoreCache>(client_.get(),
-                                        app_->options.cache_capacity,
-                                        app_->options.enable_cache);
-  tdstore::BatchWriter::Options wopts;
-  wopts.max_ops = app_->options.store_batch_max_ops;
-  wopts.max_age_micros = app_->options.store_batch_max_age_micros;
-  writer_ = std::make_unique<tdstore::BatchWriter>(client_.get(), wopts);
   // Write-behind: every cache write stages on the writer instead of issuing
   // a point store op per key. Cleanup() ships whatever the auto-flush
-  // thresholds left staged.
-  cache_->set_writer(writer_.get());
+  // threshold left staged.
+  writer_ = std::make_unique<tdstore::BatchWriter>(
+      client_.get(), tdstore::BatchWriter::Options());
+  cache_ = std::make_unique<StoreCache>(client_.get(), writer_.get(),
+                                        app_->options.cache_capacity,
+                                        app_->options.enable_cache);
   // Resolve the event-to-store histogram once; a null pointer makes every
   // RecordEventToStore a branch-and-return with no clock read.
   e2s_ = MetricsEnabled()
@@ -87,14 +85,11 @@ Status StoreBolt::FlushCombiner(Combiner* combiner) {
   deltas.reserve(drained.size());
   for (const auto& [key, delta] : drained) deltas.emplace(key, delta);
   Status first_error;
-  cache_->AddDoubleBatch(drained, writer_.get(),
-                         [&](const std::string& key, const Status& s) {
-                           if (first_error.ok()) first_error = s;
-                           auto it = deltas.find(key);
-                           if (it != deltas.end()) {
-                             combiner->Add(key, it->second);
-                           }
-                         });
+  cache_->AddDoubleBatch(drained, [&](const std::string& key, const Status& s) {
+    if (first_error.ok()) first_error = s;
+    auto it = deltas.find(key);
+    if (it != deltas.end()) combiner->Add(key, it->second);
+  });
   Status flush = writer_->Flush();
   if (!first_error.ok()) return first_error;
   return flush;
@@ -336,10 +331,7 @@ void CfPairBolt::Execute(const tstorm::Tuple& input,
     TR_LOG(kError, "window sum read failed");
     return;
   }
-  double sim = 0.0;
-  if (*ic_lo > 0.0 && *ic_hi > 0.0 && *pc_sum > 0.0) {
-    sim = *pc_sum / (std::sqrt(*ic_lo) * std::sqrt(*ic_hi));
-  }
+  const double sim = core::ItemSimilarity(*pc_sum, *ic_lo, *ic_hi);
 
   out.EmitTo(0, tstorm::Tuple::Of({lo, hi, sim, ingest, trace}));
   out.EmitTo(0, tstorm::Tuple::Of({hi, lo, sim, ingest, trace}));

@@ -89,8 +89,8 @@ class StoreBolt : public tstorm::IBolt {
   const AppContext* app_;
   tstorm::TaskContext ctx_;
   std::unique_ptr<tdstore::Client> client_;
-  std::unique_ptr<StoreCache> cache_;
   std::unique_ptr<tdstore::BatchWriter> writer_;
+  std::unique_ptr<StoreCache> cache_;  ///< stages its writes on writer_
   LatencyHistogram* e2s_ = nullptr;
   /// This instance's event-time watermark register (stage = component name).
   obs::FreshnessTracker::ScopedSlot freshness_;

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "core/ctr.h"
+#include "core/itemcf/window_counts.h"
 
 namespace tencentrec::topo {
 
@@ -159,8 +160,7 @@ Result<double> StoreQuery::SimilarityFromCounts(core::ItemId a, core::ItemId b,
   if (*ca <= 0.0 || *cb <= 0.0) return 0.0;
   auto pc = WindowPlan::SumOf(vals, rp);
   if (!pc.ok()) return pc.status();
-  if (*pc <= 0.0) return 0.0;
-  return *pc / (std::sqrt(*ca) * std::sqrt(*cb));
+  return core::ItemSimilarity(*pc, *ca, *cb);
 }
 
 Result<core::Recommendations> StoreQuery::RecommendCf(core::UserId user,
@@ -266,7 +266,7 @@ Result<core::Recommendations> StoreQuery::RecommendCf(core::UserId user,
         break;
       }
       if (*pc <= 0.0) continue;
-      const double sim = *pc / (std::sqrt(*cp) * std::sqrt(*cq));
+      const double sim = core::ItemSimilarity(*pc, *cp, *cq);
       num += sim * history->RatingOf(q);
       den += sim;
     }

@@ -27,13 +27,11 @@ void StoreCache::InsertOrUpdate(const std::string& key, std::string value,
 }
 
 Result<std::string> StoreCache::StoreRead(const std::string& key) {
-  if (writer_ != nullptr) {
-    // A staged put that has not shipped yet is the key's newest value (the
-    // cached copy may have been evicted since staging); a staged incr means
-    // the store is behind by the delta, so ship the batch before reading.
-    if (const std::string* staged = writer_->StagedPut(key)) return *staged;
-    if (writer_->HasStaged(key)) TR_RETURN_IF_ERROR(writer_->Flush());
-  }
+  // A staged put that has not shipped yet is the key's newest value (the
+  // cached copy may have been evicted since staging); a staged incr means
+  // the store is behind by the delta, so ship the batch before reading.
+  if (const std::string* staged = writer_->StagedPut(key)) return *staged;
+  if (writer_->HasStaged(key)) TR_RETURN_IF_ERROR(writer_->Flush());
   return client_->Get(key);
 }
 
@@ -67,18 +65,13 @@ Result<std::string> StoreCache::Get(const std::string& key) {
 
 Status StoreCache::Put(const std::string& key, std::string value) {
   ++stats_.writes;
-  if (writer_ != nullptr) {
-    // Write-behind: cache first, stage second. A flush-time failure
-    // invalidates the entry that got ahead of the store and surfaces
-    // through the writer's flush status / last_error().
-    if (Active()) InsertOrUpdate(key, value);
-    writer_->Put(key, value, [this, key](const Status& s) {
-      if (!s.ok()) Invalidate(key);
-    });
-    return Status::OK();
-  }
-  TR_RETURN_IF_ERROR(client_->Put(key, value));
-  if (Active()) InsertOrUpdate(key, std::move(value));
+  // Cache first, stage second. A flush-time failure invalidates the entry
+  // that got ahead of the store and surfaces through the writer's flush
+  // status / last_error().
+  if (Active()) InsertOrUpdate(key, value);
+  writer_->Put(key, value, [this, key](const Status& s) {
+    if (!s.ok()) Invalidate(key);
+  });
   return Status::OK();
 }
 
@@ -86,7 +79,7 @@ Result<double> StoreCache::AddDouble(const std::string& key, double delta) {
   if (!Active()) {
     ++stats_.misses;
     ++stats_.writes;
-    if (writer_ != nullptr && writer_->HasStaged(key)) {
+    if (writer_->HasStaged(key)) {
       // The staged op must land before a point incr, or its later flush
       // would clobber the increment.
       TR_RETURN_IF_ERROR(writer_->Flush());
@@ -124,16 +117,15 @@ Result<double> StoreCache::AddDouble(const std::string& key, double delta) {
 
 void StoreCache::AddDoubleBatch(
     const std::vector<std::pair<std::string, double>>& adds,
-    tdstore::BatchWriter* writer,
     const std::function<void(const std::string&, const Status&)>& on_error) {
   for (const auto& [key, delta] : adds) {
     if (!Active()) {
       ++stats_.misses;
       ++stats_.writes;
-      writer->IncrDouble(key, delta,
-                         [key, on_error](const Result<double>& r) {
-                           if (!r.ok() && on_error) on_error(key, r.status());
-                         });
+      writer_->IncrDouble(key, delta,
+                          [key, on_error](const Result<double>& r) {
+                            if (!r.ok() && on_error) on_error(key, r.status());
+                          });
       continue;
     }
     auto it = entries_.find(key);
@@ -155,26 +147,26 @@ void StoreCache::AddDoubleBatch(
       // Single-writer-per-key: updating the cache before the put ships is
       // safe, and lets later adds in this same batch hit the fresh value.
       InsertOrUpdate(key, tdstore::EncodeDouble(next));
-      writer->PutDouble(key, next,
-                        [this, key, on_error](const Status& s) {
-                          if (s.ok()) return;
-                          Invalidate(key);  // cache is ahead of the store
-                          if (on_error) on_error(key, s);
-                        });
+      writer_->PutDouble(key, next,
+                         [this, key, on_error](const Status& s) {
+                           if (s.ok()) return;
+                           Invalidate(key);  // cache is ahead of the store
+                           if (on_error) on_error(key, s);
+                         });
       continue;
     }
     ++stats_.misses;
     ++stats_.writes;
     // Unknown current value: let the server do the read-modify-write and
     // adopt its result into the cache when the batch lands.
-    writer->IncrDouble(key, delta,
-                       [this, key, on_error](const Result<double>& r) {
-                         if (!r.ok()) {
-                           if (on_error) on_error(key, r.status());
-                           return;
-                         }
-                         InsertOrUpdate(key, tdstore::EncodeDouble(*r));
-                       });
+    writer_->IncrDouble(key, delta,
+                        [this, key, on_error](const Result<double>& r) {
+                          if (!r.ok()) {
+                            if (on_error) on_error(key, r.status());
+                            return;
+                          }
+                          InsertOrUpdate(key, tdstore::EncodeDouble(*r));
+                        });
   }
 }
 

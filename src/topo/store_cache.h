@@ -14,25 +14,24 @@
 
 namespace tencentrec::topo {
 
-/// Fine-grained read-through/write-through cache in front of a TDStore
+/// Fine-grained read-through, write-behind cache in front of a TDStore
 /// client (§5.2, temporal burst events). Cached "in the granularity of data
 /// instance, i.e., a key-value pair"; consistency holds because stream
 /// grouping sends all tuples for a key to the same worker, making each
-/// cached key single-writer. Writes update cache and store together so
-/// other workers reading the key from TDStore see fresh data.
+/// cached key single-writer.
 ///
 /// LRU-bounded; a bolt restart naturally drops the cache and re-reads from
 /// TDStore (the recovery story of §3.3).
 ///
-/// With set_writer() the cache goes WRITE-BEHIND: Put/AddDouble update the
-/// cache immediately (single-writer-per-key makes it the authoritative
-/// copy) and stage the store op on a BatchWriter instead of issuing a point
-/// call per key — so a batch of hot-key updates ships as a handful of
-/// Multi* runs (and one WAL record per run) rather than thousands of
-/// single-op writes. Reads consult the writer's staged puts on a cache
-/// miss, so read-your-writes survives eviction; a staged-op error fires the
-/// op's callback at flush time and invalidates the cache entry that got
-/// ahead of the store.
+/// Writes are WRITE-BEHIND: Put/AddDouble update the cache immediately
+/// (single-writer-per-key makes it the authoritative copy) and stage the
+/// store op on the cache's BatchWriter instead of issuing a point call per
+/// key — so a batch of hot-key updates ships as a handful of Multi* runs
+/// (and one WAL record per run) rather than thousands of single-op writes.
+/// Other workers see a write once the writer flushes. Reads consult the
+/// writer's staged puts on a cache miss, so read-your-writes survives
+/// eviction; a staged-op error fires the op's callback at flush time and
+/// invalidates the cache entry that got ahead of the store.
 ///
 /// Absence is cached too: a Get that comes back NotFound leaves a negative
 /// entry, so repeated probes of a dead key (deregistered item, fresh user)
@@ -50,43 +49,42 @@ class StoreCache {
     int64_t writes = 0;
   };
 
-  /// `enabled = false` turns the cache into a transparent pass-through
-  /// (every call hits TDStore) — the baseline for the cache ablation bench.
-  /// `capacity = 0` is equivalent: nothing can be held, so the cache is
-  /// disabled rather than evicting on every insert.
-  StoreCache(tdstore::Client* client, size_t capacity, bool enabled = true)
-      : client_(client), capacity_(capacity), enabled_(enabled) {}
-
-  /// Arms write-behind mode (see class comment). The writer must be flushed
-  /// at every point the store is required to be current — batch end, before
-  /// a barrier commit — and this cache must outlive those flushes (the
-  /// staged callbacks capture it). nullptr restores write-through point ops.
-  void set_writer(tdstore::BatchWriter* writer) { writer_ = writer; }
+  /// Writes stage on `writer` (see class comment), which must be flushed at
+  /// every point the store is required to be current — batch end, before a
+  /// barrier commit — and this cache must outlive those flushes (the staged
+  /// callbacks capture it). `enabled = false` turns the cache into a
+  /// transparent pass-through (every read hits TDStore) — the baseline for
+  /// the cache ablation bench. `capacity = 0` is equivalent: nothing can be
+  /// held, so the cache is disabled rather than evicting on every insert.
+  StoreCache(tdstore::Client* client, tdstore::BatchWriter* writer,
+             size_t capacity, bool enabled = true)
+      : client_(client),
+        writer_(writer),
+        capacity_(capacity),
+        enabled_(enabled) {}
 
   /// Cache hit, else TDStore read. A NotFound result is cached as a
   /// negative entry; this worker's own writes overwrite it immediately, so
   /// serving cached absence never hides a value this key could have.
   Result<std::string> Get(const std::string& key);
 
-  /// Write-through: cache + TDStore. Replaces a negative entry, making the
-  /// write visible to the next Get without a store read.
+  /// Updates the cache and stages the put. Replaces a negative entry,
+  /// making the write visible to the next Get without a store read.
   Status Put(const std::string& key, std::string value);
 
   /// Read-modify-write add on a double; uses the cached value when present
-  /// (saving the TDStore read, exactly the §5.2 optimization), writes
-  /// through. Safe because this worker is the key's only writer.
+  /// (saving the TDStore read, exactly the §5.2 optimization) and stages
+  /// the new value. Safe because this worker is the key's only writer.
   Result<double> AddDouble(const std::string& key, double delta);
 
-  /// Batched AddDouble: stages every write on `writer` instead of issuing a
-  /// store op per key. Cache hits compute the new value locally, update the
-  /// cache immediately, and stage a Put (invalidated again if the put later
-  /// fails); misses stage an IncrDouble whose callback inserts the
-  /// server-computed value. `on_error(key, status)` fires during the
-  /// writer's flush for each key whose write ultimately fails. This cache
-  /// must outlive the flush that ships the staged ops.
+  /// Batched AddDouble: stages every write on the writer. Cache hits
+  /// compute the new value locally, update the cache immediately, and stage
+  /// a Put (invalidated again if the put later fails); misses stage an
+  /// IncrDouble whose callback inserts the server-computed value.
+  /// `on_error(key, status)` fires during the writer's flush for each key
+  /// whose write ultimately fails.
   void AddDoubleBatch(
       const std::vector<std::pair<std::string, double>>& adds,
-      tdstore::BatchWriter* writer,
       const std::function<void(const std::string&, const Status&)>& on_error);
 
   void Invalidate(const std::string& key);
@@ -116,7 +114,7 @@ class StoreCache {
   Result<std::string> StoreRead(const std::string& key);
 
   tdstore::Client* client_;
-  tdstore::BatchWriter* writer_ = nullptr;
+  tdstore::BatchWriter* writer_;
   const size_t capacity_;
   const bool enabled_;
   /// LRU list, most-recent first; map values point into it.

@@ -17,6 +17,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -25,12 +26,12 @@
 #include "common/recordio.h"
 #include "engine/tencentrec.h"
 #include "tdaccess/segment_log.h"
+#include "tdstore/client.h"
 #include "tdstore/cluster.h"
 #include "tdstore/data_server.h"
 #include "tdstore/engine.h"
 #include "tdstore/mdb_engine.h"
 #include "tdstore/wal.h"
-#include "topo/blob_codec.h"
 
 namespace tencentrec {
 namespace {
@@ -526,6 +527,181 @@ TEST(ClusterDurable, RecoveryStopsAtMinimumSharedBarrier) {
 }
 
 // ---------------------------------------------------------------------------
+// Write-path parity: whatever entry point a write came through, the slave's
+// engine and a rebooted cluster hold exactly the live hosts' bytes.
+
+/// Every key/value of every instance, prefixed by instance id, read from the
+/// instance's host — or, with `from_slave`, from its slave, promoted to host
+/// for the scan and demoted again after it.
+std::map<std::string, std::string> DumpInstances(tdstore::Cluster* store,
+                                                 bool from_slave) {
+  std::map<std::string, std::string> out;
+  auto table = store->config().GetRouteTable();
+  EXPECT_TRUE(table.ok());
+  if (!table.ok()) return out;
+  for (const auto& p : table->placements) {
+    tdstore::DataServer* server =
+        store->data_server(from_slave ? p.slave_server : p.host_server);
+    EXPECT_NE(server, nullptr) << "instance " << p.instance_id;
+    if (server == nullptr) continue;
+    if (from_slave) {
+      EXPECT_TRUE(server->SetHostRole(p.instance_id, true).ok());
+    }
+    EXPECT_TRUE(server
+                    ->ScanPrefix(p.instance_id, "",
+                                 [&](std::string_view key,
+                                     std::string_view value) {
+                                   out["i" + std::to_string(p.instance_id) +
+                                       ":" + std::string(key)] =
+                                       std::string(value);
+                                   return true;
+                                 })
+                    .ok());
+    if (from_slave) {
+      EXPECT_TRUE(server->SetHostRole(p.instance_id, false).ok());
+    }
+  }
+  return out;
+}
+
+/// Drives every client write entry point: point Put, Delete, IncrDouble and
+/// IncrInt64, then MultiPut and MultiIncrDouble with same-key runs and one
+/// per-item failure. Run twice over one cluster, the second pass overwrites,
+/// increments and deletes what the first one wrote.
+void DriveEveryWriteEntryPoint(tdstore::Client* client) {
+  for (int i = 0; i < 40; ++i) {
+    const std::string k = std::to_string(i);
+    ASSERT_TRUE(client->Put("put:" + k, "v" + k).ok());
+    ASSERT_TRUE(client->Put("put:" + k, "w" + k).ok());
+    ASSERT_TRUE(
+        client->IncrDouble("dbl:" + std::to_string(i % 7), 0.1 * (i + 1))
+            .ok());
+    ASSERT_TRUE(client->IncrInt64("int:" + std::to_string(i % 5), i - 3).ok());
+    if (i % 3 == 0) {
+      ASSERT_TRUE(client->Delete("put:" + k).ok());
+    }
+  }
+  ASSERT_TRUE(client->Delete("never-written").ok());
+
+  std::vector<std::pair<std::string, std::string>> kvs;
+  for (int i = 0; i < 60; ++i) {
+    kvs.emplace_back("mput:" + std::to_string(i % 25), "m" + std::to_string(i));
+  }
+  std::vector<Status> put_out;
+  ASSERT_TRUE(client->MultiPut(kvs, &put_out).ok());
+  for (size_t i = 0; i < put_out.size(); ++i) {
+    ASSERT_TRUE(put_out[i].ok()) << i;
+  }
+
+  // "bad" holds no 8-byte double, so its increment fails on its own while
+  // the rest of its run lands.
+  ASSERT_TRUE(client->Put("bad", "not-a-double").ok());
+  std::vector<std::pair<std::string, double>> adds;
+  for (int i = 0; i < 60; ++i) {
+    adds.emplace_back("madd:" + std::to_string(i % 20), 0.25 * (i % 3 + 1));
+    if (i == 30) adds.emplace_back("bad", 1.0);
+  }
+  adds.emplace_back("dbl:0", 1.5);  // a key the point path increments too
+  std::vector<Result<double>> add_out;
+  ASSERT_TRUE(client->MultiIncrDouble(adds, &add_out).ok());
+  for (size_t i = 0; i < adds.size(); ++i) {
+    if (adds[i].first == "bad") {
+      EXPECT_TRUE(add_out[i].status().IsCorruption()) << i;
+    } else {
+      ASSERT_TRUE(add_out[i].ok()) << i;
+    }
+  }
+  ASSERT_TRUE(client->Delete("mput:3").ok());
+}
+
+class WriteParityTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(WriteParityTest, SlavesAndRebootedHostsHoldTheLiveHostBytes) {
+  const bool sync_replication = GetParam();
+  TempDir dir;
+  tdstore::Cluster::Options options = DurableClusterOptions(dir.path());
+  options.sync_replication = sync_replication;
+  std::map<std::string, std::string> live;
+  {
+    auto cluster = tdstore::Cluster::Create(options);
+    ASSERT_TRUE(cluster.ok());
+    tdstore::Client client(cluster->get());
+    // The first pass reaches the snapshots, the second only the WAL.
+    DriveEveryWriteEntryPoint(&client);
+    ASSERT_TRUE((*cluster)->CommitBarrier(1).ok());
+    ASSERT_TRUE((*cluster)->Checkpoint(1).ok());
+    DriveEveryWriteEntryPoint(&client);
+    ASSERT_TRUE((*cluster)->CommitBarrier(2).ok());
+
+    live = DumpInstances(cluster->get(), /*from_slave=*/false);
+    ASSERT_FALSE(live.empty());
+    if (!sync_replication) {
+      size_t pending = 0;
+      for (int s = 0; s < (*cluster)->num_data_servers(); ++s) {
+        pending += (*cluster)->data_server(s)->PendingReplication();
+      }
+      EXPECT_GT(pending, 0u);  // the slaves lag until the queues drain
+      ASSERT_TRUE((*cluster)->FlushReplication().ok());
+    }
+    EXPECT_EQ(DumpInstances(cluster->get(), /*from_slave=*/true), live);
+  }
+  // Reboot: snapshot restore plus WAL replay on the hosts, and slaves
+  // re-seeded from them.
+  auto rebooted = tdstore::Cluster::Create(options);
+  ASSERT_TRUE(rebooted.ok());
+  EXPECT_EQ((*rebooted)->recovered_barrier_id(), 2u);
+  EXPECT_EQ(DumpInstances(rebooted->get(), /*from_slave=*/false), live);
+  EXPECT_EQ(DumpInstances(rebooted->get(), /*from_slave=*/true), live);
+}
+
+INSTANTIATE_TEST_SUITE_P(Replication, WriteParityTest,
+                         ::testing::Values(true, false),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Sync" : "Async";
+                         });
+
+TEST(ClusterDurable, OneWalRecordPerPointOpAndPerSameInstanceRun) {
+  TempDir dir;
+  tdstore::DataServer host(0, /*sync_replication=*/false);
+  tdstore::DataServer slave(1, /*sync_replication=*/false);
+  for (int inst : {1, 2, 3}) {
+    ASSERT_TRUE(host.CreateInstance(inst, {}).ok());
+    ASSERT_TRUE(slave.CreateInstance(inst, {}).ok());
+    ASSERT_TRUE(host.SetSlave(inst, &slave).ok());
+  }
+  ASSERT_TRUE(host.SetHostRole(1, true).ok());
+  ASSERT_TRUE(host.SetHostRole(2, true).ok());  // instance 3 stays a replica
+  ASSERT_TRUE(host.EnableDurability(dir.path(), {}).ok());
+  tdstore::Wal* wal = host.wal();
+
+  // Each point op: one record, logged and queued for the slave.
+  ASSERT_TRUE(host.Put(1, "a", "1").ok());
+  ASSERT_TRUE(host.Delete(1, "a").ok());
+  ASSERT_TRUE(host.IncrDouble(2, "d", 1.5).ok());
+  ASSERT_TRUE(host.IncrInt64(2, "i", 3).ok());
+  EXPECT_EQ(wal->record_count(), 4u);
+  EXPECT_EQ(host.PendingReplication(), 4u);
+
+  // Runs {1, 1}, {2}, {3: refused} and {1}: three records of four ops.
+  const std::vector<tdstore::BatchPut> puts = {
+      {1, "p", "x"}, {1, "q", "y"}, {2, "r", "z"}, {3, "s", "w"}, {1, "t", "v"}};
+  std::vector<Status> put_out;
+  ASSERT_TRUE(host.MultiPut(puts, &put_out).ok());
+  EXPECT_TRUE(put_out[3].IsUnavailable());
+  EXPECT_EQ(wal->record_count(), 7u);
+  EXPECT_EQ(host.PendingReplication(), 8u);
+
+  // A run whose every item fails logs and replicates nothing.
+  ASSERT_TRUE(host.Put(2, "bad", "not-a-double").ok());
+  const std::vector<tdstore::BatchIncrDouble> adds = {{2, "bad", 1.0}};
+  std::vector<Result<double>> add_out;
+  ASSERT_TRUE(host.MultiIncrDouble(adds, &add_out).ok());
+  EXPECT_TRUE(add_out[0].status().IsCorruption());
+  EXPECT_EQ(wal->record_count(), 8u);
+  EXPECT_EQ(host.PendingReplication(), 9u);
+}
+
+// ---------------------------------------------------------------------------
 // Kill-mid-stream: the headline end-to-end crash test.
 
 std::vector<UserAction> KillBatch(int b, int n) {
@@ -575,19 +751,6 @@ std::map<std::string, std::string> DumpStore(tdstore::Cluster* store) {
             return true;
           });
     }
-  }
-  return out;
-}
-
-/// User-history blobs serialize an unordered_map, so byte order is not
-/// canonical; compare the decoded logical content instead.
-std::map<ItemId, std::pair<double, EventTime>> CanonicalHistory(
-    const std::string& blob) {
-  std::map<ItemId, std::pair<double, EventTime>> out;
-  auto history = topo::DecodeUserHistory(blob);
-  if (!history.ok()) return out;
-  for (const auto& [item, state] : history->items()) {
-    out[item] = {state.rating, state.last_action};
   }
   return out;
 }
@@ -679,31 +842,26 @@ TEST(KillMidStream, RecoversBitIdenticalState) {
     for (const auto& [key, value] : recovered_dump) rec_keys.push_back(key);
     EXPECT_EQ(rec_keys, ref_keys);
   }
-  // Value comparison splits by key class. Counters and windowed statistics
+  // Values must match byte for byte. Counters and windowed statistics
   // (ic:, pc:, po:, ctr:, gh:, ...) are deterministic functions of the
-  // batch sequence and must match byte for byte — this is the issue's
-  // "bit-identical counts" bar. Two classes are exempt, and provably so
-  // even between two UNINTERRUPTED runs of the same stream:
-  //   - uh: blobs serialize an unordered_map, so identical logical content
-  //     can round-trip into different record orders; compared canonicalized.
-  //   - sim:/st: hold scores computed at emission time from whatever the
-  //     windowed counts were at that instant (§5.1 decoupled statistics —
-  //     "transiently stale", self-correcting under traffic), so their bytes
-  //     are interleaving-dependent by design; presence is checked above.
+  // batch sequence, and so are uh: blobs: a user's actions reach
+  // user_history in order, and the blob lists the history's rows in
+  // insertion order. One class is exempt, provably so even between two
+  // UNINTERRUPTED runs of the same stream: sim:/st: hold scores computed at
+  // emission time from whatever the windowed counts were at that instant
+  // (§5.1 decoupled statistics — "transiently stale", self-correcting under
+  // traffic), so their bytes are interleaving-dependent by design; presence
+  // is checked above.
   int diffs = 0;
   std::string diff;
   for (const auto& [key, value] : reference_dump) {
     auto it = recovered_dump.find(key);
     if (it == recovered_dump.end()) continue;  // reported by the set check
     const std::string stripped = key.substr(key.find(':') + 1);
-    bool equal;
     if (stripped.rfind("sim:", 0) == 0 || stripped.rfind("st:", 0) == 0) {
       continue;
-    } else if (stripped.rfind("uh:", 0) == 0) {
-      equal = CanonicalHistory(value) == CanonicalHistory(it->second);
-    } else {
-      equal = value == it->second;
     }
+    const bool equal = value == it->second;
     if (!equal && diffs < 20) {
       diff += "  differs: " + key + "\n";
       ++diffs;

@@ -1,6 +1,6 @@
 // The batched query tier: QueryCache semantics (dedupe, TTL positive +
 // negative caching, single-flight coalescing, eviction, invalidation),
-// StoreCache negative caching with write-through invalidation, StoreQuery
+// StoreCache negative caching with write-behind invalidation, StoreQuery
 // parity with a point-read oracle on seeded streams, the deregistered-item
 // N+1 regression on RecommendCb, and per-candidate degradation under
 // per-key store errors.
@@ -255,7 +255,8 @@ TEST(StoreCacheTest, NegativeEntryServesRepeatedMisses) {
   auto store = tdstore::Cluster::Create(store_options);
   ASSERT_TRUE(store.ok());
   tdstore::Client client(store->get());
-  StoreCache cache(&client, /*capacity=*/16);
+  tdstore::BatchWriter writer(&client, {});
+  StoreCache cache(&client, &writer, /*capacity=*/16);
 
   EXPECT_TRUE(cache.Get("nope").status().IsNotFound());
   ResetInvocations(store->get());
@@ -270,14 +271,16 @@ TEST(StoreCacheTest, PutAfterCachedNotFoundIsVisibleOnNextRead) {
   auto store = tdstore::Cluster::Create(store_options);
   ASSERT_TRUE(store.ok());
   tdstore::Client client(store->get());
-  StoreCache cache(&client, /*capacity=*/16);
+  tdstore::BatchWriter writer(&client, {});
+  StoreCache cache(&client, &writer, /*capacity=*/16);
 
   EXPECT_TRUE(cache.Get("k").status().IsNotFound());  // negative entry
-  ASSERT_TRUE(cache.Put("k", "fresh").ok());          // write-through
+  ASSERT_TRUE(cache.Put("k", "fresh").ok());          // staged
   auto v = cache.Get("k");
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(*v, "fresh");
-  // And the store really has it (write-through, not cache-only).
+  // And the store really has it once the writer ships (not cache-only).
+  ASSERT_TRUE(writer.Flush().ok());
   auto stored = client.Get("k");
   ASSERT_TRUE(stored.ok());
   EXPECT_EQ(*stored, "fresh");
@@ -289,13 +292,15 @@ TEST(StoreCacheTest, AddDoubleAfterCachedNotFoundSkipsTheReadAndWrites) {
   auto store = tdstore::Cluster::Create(store_options);
   ASSERT_TRUE(store.ok());
   tdstore::Client client(store->get());
-  StoreCache cache(&client, /*capacity=*/16);
+  tdstore::BatchWriter writer(&client, {});
+  StoreCache cache(&client, &writer, /*capacity=*/16);
 
   EXPECT_TRUE(cache.Get("ctr").status().IsNotFound());
   ResetInvocations(store->get());
   auto sum = cache.AddDouble("ctr", 2.5);
   ASSERT_TRUE(sum.ok());
   EXPECT_DOUBLE_EQ(*sum, 2.5);
+  ASSERT_TRUE(writer.Flush().ok());
   EXPECT_EQ(TotalInvocations(store->get()), 1);  // the Put only, no read
   EXPECT_GE(cache.stats().negative_hits, 1);
   auto stored = client.GetDouble("ctr", -1.0);
@@ -312,12 +317,12 @@ TEST(StoreCacheTest, AddDoubleBatchAfterCachedNotFoundStartsFromZero) {
   auto store = tdstore::Cluster::Create(store_options);
   ASSERT_TRUE(store.ok());
   tdstore::Client client(store->get());
-  StoreCache cache(&client, /*capacity=*/16);
   tdstore::BatchWriter writer(&client, {});
+  StoreCache cache(&client, &writer, /*capacity=*/16);
 
   EXPECT_TRUE(cache.Get("w").status().IsNotFound());
   std::vector<std::pair<std::string, Status>> errors;
-  cache.AddDoubleBatch({{"w", 4.0}}, &writer,
+  cache.AddDoubleBatch({{"w", 4.0}},
                        [&](const std::string& key, const Status& s) {
                          errors.emplace_back(key, s);
                        });
@@ -443,7 +448,7 @@ TEST(StoreQueryTest, RecommendCfDegradesPerCandidateOnKeyErrors) {
   // boost over the seeded counts. Each has one recent neighbour q (rating
   // 3), itemCount 4 against q's 5, and pairCount 2 with q; the tie on score
   // ranks p1 (lower id) first.
-  const double sim = 2.0 / (std::sqrt(4.0) * std::sqrt(5.0));
+  const double sim = 2.0 / std::sqrt(4.0 * 5.0);
   const double num = sim * 3.0;
   const double den = sim;
   const double want = (num / den) * (1.0 + std::log1p(den));
@@ -555,7 +560,7 @@ class PointReadOracle {
         if (cq <= 0.0) continue;
         const double pc = PairCount(p, q, now);
         if (pc <= 0.0) continue;
-        const double sim = pc / (std::sqrt(cp) * std::sqrt(cq));
+        const double sim = pc / std::sqrt(cp * cq);
         num += sim * history.RatingOf(q);
         den += sim;
       }

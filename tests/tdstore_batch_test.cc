@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 #include <string>
 #include <thread>
@@ -134,12 +133,6 @@ TEST(ClientBatchTest, MultiGetBatchKeepsPerKeyStatuses) {
   EXPECT_TRUE(out[1].status().IsNotFound());
   EXPECT_EQ(out[2].value(), "3");
   EXPECT_TRUE(out[3].status().IsNotFound());
-
-  // A missing key never discards its siblings in the legacy shape either.
-  auto legacy = client.MultiGet({"a", "b", "c"});
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_EQ((*legacy)[0].value(), "1");
-  EXPECT_FALSE((*legacy)[1].has_value());
 
   std::vector<Result<double>> dbl;
   ASSERT_TRUE(client.Put("num", EncodeDouble(2.5)).ok());
@@ -389,7 +382,7 @@ TEST(BatchWriterTest, KindConflictOnKeyFlushesFirst) {
   EXPECT_DOUBLE_EQ(client.GetDouble("k").value(), 3.0);
 }
 
-TEST(BatchWriterTest, AutoFlushBySizeAndAge) {
+TEST(BatchWriterTest, AutoFlushBySize) {
   auto cluster = Cluster::Create(SmallCluster());
   ASSERT_TRUE(cluster.ok());
   Client client(cluster->get());
@@ -403,17 +396,7 @@ TEST(BatchWriterTest, AutoFlushBySizeAndAge) {
   sized.IncrDouble("s3", 1.0);
   EXPECT_EQ(sized.flushes(), 1);
   EXPECT_EQ(sized.pending(), 0u);
-
-  BatchWriter::Options by_age;
-  by_age.max_age_micros = 1000;
-  BatchWriter aged(&client, by_age);
-  aged.IncrDouble("a1", 1.0);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_EQ(aged.flushes(), 0);  // age checked at the next staging call
-  aged.IncrDouble("a2", 1.0);
-  EXPECT_EQ(aged.flushes(), 1);
-  EXPECT_EQ(aged.pending(), 0u);
-  EXPECT_DOUBLE_EQ(client.GetDouble("a1").value(), 1.0);
+  EXPECT_DOUBLE_EQ(client.GetDouble("s1").value(), 1.0);
 }
 
 TEST(BatchWriterTest, SurfacesErrorsThroughCallbacksAndLastError) {

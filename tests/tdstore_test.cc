@@ -353,12 +353,12 @@ TEST(ClusterTest, MultiGet) {
   Client client(cluster->get());
   ASSERT_TRUE(client.Put("a", "1").ok());
   ASSERT_TRUE(client.Put("c", "3").ok());
-  auto values = client.MultiGet({"a", "b", "c"});
-  ASSERT_TRUE(values.ok());
-  ASSERT_EQ(values->size(), 3u);
-  EXPECT_EQ((*values)[0].value(), "1");
-  EXPECT_FALSE((*values)[1].has_value());
-  EXPECT_EQ((*values)[2].value(), "3");
+  std::vector<Result<std::string>> values;
+  ASSERT_TRUE(client.MultiGetBatch({"a", "b", "c"}, &values).ok());
+  ASSERT_EQ(values.size(), 3u);
+  EXPECT_EQ(values[0].value(), "1");
+  EXPECT_TRUE(values[1].status().IsNotFound());
+  EXPECT_EQ(values[2].value(), "3");
 }
 
 TEST(ClusterTest, ScanPrefixAcrossInstances) {

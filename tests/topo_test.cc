@@ -182,14 +182,17 @@ class CacheFixture : public ::testing::Test {
     ASSERT_TRUE(cluster.ok());
     cluster_ = std::move(cluster).value();
     client_ = std::make_unique<tdstore::Client>(cluster_.get());
+    writer_ = std::make_unique<tdstore::BatchWriter>(
+        client_.get(), tdstore::BatchWriter::Options());
   }
 
   std::unique_ptr<tdstore::Cluster> cluster_;
   std::unique_ptr<tdstore::Client> client_;
+  std::unique_ptr<tdstore::BatchWriter> writer_;
 };
 
 TEST_F(CacheFixture, ReadThroughCachesHits) {
-  StoreCache cache(client_.get(), 16);
+  StoreCache cache(client_.get(), writer_.get(), 16);
   ASSERT_TRUE(client_->Put("k", "v").ok());
   auto first = cache.Get("k");
   ASSERT_TRUE(first.ok());
@@ -199,19 +202,22 @@ TEST_F(CacheFixture, ReadThroughCachesHits) {
   EXPECT_EQ(cache.stats().misses, 1);
 }
 
-TEST_F(CacheFixture, WriteThroughVisibleToOtherReaders) {
-  StoreCache cache(client_.get(), 16);
+TEST_F(CacheFixture, FlushedWritesVisibleToOtherReaders) {
+  StoreCache cache(client_.get(), writer_.get(), 16);
   ASSERT_TRUE(cache.Put("k", "v1").ok());
-  // Another worker reading TDStore directly sees the write immediately.
+  // Another worker reading TDStore directly sees the write once the
+  // writer ships it.
+  ASSERT_TRUE(writer_->Flush().ok());
   auto direct = client_->Get("k");
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(*direct, "v1");
 }
 
 TEST_F(CacheFixture, AddDoubleUsesCachedValue) {
-  StoreCache cache(client_.get(), 16);
+  StoreCache cache(client_.get(), writer_.get(), 16);
   ASSERT_TRUE(cache.AddDouble("c", 1.0).ok());
   ASSERT_TRUE(cache.AddDouble("c", 2.0).ok());
+  ASSERT_TRUE(writer_->Flush().ok());
   auto v = client_->GetDouble("c");
   ASSERT_TRUE(v.ok());
   EXPECT_DOUBLE_EQ(*v, 3.0);
@@ -220,7 +226,7 @@ TEST_F(CacheFixture, AddDoubleUsesCachedValue) {
 }
 
 TEST_F(CacheFixture, LruEvicts) {
-  StoreCache cache(client_.get(), 2);
+  StoreCache cache(client_.get(), writer_.get(), 2);
   ASSERT_TRUE(cache.Put("a", "1").ok());
   ASSERT_TRUE(cache.Put("b", "2").ok());
   ASSERT_TRUE(cache.Put("c", "3").ok());  // evicts "a"
@@ -231,7 +237,7 @@ TEST_F(CacheFixture, LruEvicts) {
 }
 
 TEST_F(CacheFixture, DisabledCachePassesThrough) {
-  StoreCache cache(client_.get(), 16, /*enabled=*/false);
+  StoreCache cache(client_.get(), writer_.get(), 16, /*enabled=*/false);
   ASSERT_TRUE(cache.Put("k", "v").ok());
   (void)cache.Get("k");
   (void)cache.Get("k");
@@ -243,7 +249,7 @@ TEST_F(CacheFixture, CapacityZeroActsAsDisabled) {
   // Regression: capacity 0 used to reach lru_.back() on an empty list
   // inside the eviction loop (undefined behavior). It now means "cache
   // disabled": all operations pass through to the store and hold nothing.
-  StoreCache cache(client_.get(), /*capacity=*/0);
+  StoreCache cache(client_.get(), writer_.get(), /*capacity=*/0);
   ASSERT_TRUE(cache.Put("k", "v1").ok());
   auto v = cache.Get("k");
   ASSERT_TRUE(v.ok());
@@ -261,7 +267,7 @@ TEST_F(CacheFixture, CapacityZeroActsAsDisabled) {
 }
 
 TEST_F(CacheFixture, CapacityOneHoldsExactlyOneEntry) {
-  StoreCache cache(client_.get(), /*capacity=*/1);
+  StoreCache cache(client_.get(), writer_.get(), /*capacity=*/1);
   ASSERT_TRUE(cache.Put("a", "1").ok());
   EXPECT_EQ(cache.size(), 1u);
   ASSERT_TRUE(cache.Put("b", "2").ok());  // evicts "a"
@@ -462,12 +468,14 @@ TEST_P(PipelineOracleTest, CountsMatchReferenceModel) {
           << "pair (" << a << ", " << b << ")";
     }
   }
-  // Similarities recomputed from final counts match the reference too.
+  // Similarities recomputed from final counts match the reference bit for
+  // bit: both compute Eq. 5 through core::ItemSimilarity.
   for (ItemId a = 1; a <= 25; ++a) {
     for (ItemId b = a + 1; b <= 25; ++b) {
       auto sim = query.SimilarityFromCounts(a, b, now);
       ASSERT_TRUE(sim.ok());
-      EXPECT_NEAR(*sim, reference.Similarity(a, b), 1e-9);
+      EXPECT_EQ(*sim, reference.Similarity(a, b))
+          << "pair (" << a << ", " << b << ")";
     }
   }
 }
