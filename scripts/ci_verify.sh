@@ -10,11 +10,12 @@
 #   3. the `durable` label on its own (torn-tail recovery sweeps, snapshot
 #      round-trips, and the kill-mid-stream SIGKILL recovery test must pass
 #      standalone, not only interleaved with the suite);
-#   4. an AddressSanitizer+UBSan build running the `itemcf`, `query` and
-#      `store` labels (the raw-memory flat tables, arena scratch, and SoA
-#      TopK of DESIGN.md §15, the planned-read query path of §11, and the
-#      store's run loop, WAL and replication of §10/§14 — `store` includes
-#      durable_test);
+#   4. an AddressSanitizer+UBSan build running the `itemcf`, `query`,
+#      `store` and `topo` labels (the raw-memory flat tables, arena scratch,
+#      and SoA TopK of DESIGN.md §15, the planned-read query path of §11,
+#      the store's run loop, WAL and replication of §10/§14 — `store`
+#      includes durable_test — and the bolts' write path of §10: Combiner,
+#      StoreCache and BatchWriter, in topo_test and parity_test);
 #   5. a ThreadSanitizer build running the `concurrent` label (sharded
 #      executor, striped histogram/tracer, batch clients, single-flight,
 #      the tstorm task threads and spout-open barrier).
@@ -48,10 +49,10 @@ echo "=== durable: WAL/snapshot recovery incl. kill-mid-stream ==="
 if [[ "${TR_SKIP_ASAN:-0}" == "1" ]]; then
   echo "=== asan: skipped (TR_SKIP_ASAN=1) ==="
 else
-  echo "=== asan: itemcf + query + store labels under AddressSanitizer+UBSan ==="
+  echo "=== asan: itemcf + query + store + topo labels under AddressSanitizer+UBSan ==="
   cmake -B "$asan_dir" -S "$repo_root" -DTR_SANITIZE_ADDRESS=ON
   cmake --build "$asan_dir" -j "$(nproc)"
-  (cd "$asan_dir" && ctest -L 'itemcf|query|store' --output-on-failure)
+  (cd "$asan_dir" && ctest -L 'itemcf|query|store|topo' --output-on-failure)
 fi
 
 if [[ "${TR_SKIP_TSAN:-0}" == "1" ]]; then

@@ -223,7 +223,7 @@ Status DataServer::CommitLocked(Instance* inst, int instance_id,
   }
   if (inst->slave == nullptr) return Status::OK();
   if (sync_replication_) {
-    (void)inst->slave->ApplyOps(instance_id, ops);
+    (void)inst->slave->ApplyOps(instance_id, std::move(ops));
   } else {
     inst->pending.push_back(std::move(ops));
   }
@@ -340,8 +340,8 @@ Status DataServer::FlushReplication() {
       slave = inst->slave;
     }
     if (slave == nullptr) continue;
-    for (const auto& ops : pending) {
-      Status s = slave->ApplyOps(id, ops);
+    for (auto& ops : pending) {
+      Status s = slave->ApplyOps(id, std::move(ops));
       if (!s.ok() && !s.IsUnavailable()) return s;
     }
   }
@@ -358,7 +358,7 @@ size_t DataServer::PendingReplication() const {
   return n;
 }
 
-Status DataServer::ApplyOps(int instance_id, const std::vector<WalOp>& ops) {
+Status DataServer::ApplyOps(int instance_id, std::vector<WalOp> ops) {
   if (down_.load()) return Status::Unavailable("data server down");
   Instance* inst = FindInstance(instance_id);
   if (inst == nullptr) {
@@ -372,8 +372,10 @@ Status DataServer::ApplyOps(int instance_id, const std::vector<WalOp>& ops) {
   if (all_puts && ops.size() > 1) {
     std::vector<std::pair<std::string, std::string>> kvs;
     kvs.reserve(ops.size());
-    for (const WalOp& op : ops) kvs.emplace_back(op.key, op.value);
-    return engine->MultiPut(kvs);
+    for (WalOp& op : ops) {
+      kvs.emplace_back(std::move(op.key), std::move(op.value));
+    }
+    return engine->MultiPut(std::move(kvs));
   }
   for (const WalOp& op : ops) {
     TR_RETURN_IF_ERROR(op.is_delete ? engine->Delete(op.key)
@@ -397,12 +399,13 @@ Status DataServer::CopyInstanceTo(int instance_id, DataServer* target) const {
       "", [&](std::string_view key, std::string_view value) {
         chunk.push_back({false, std::string(key), std::string(value)});
         if (chunk.size() < kChunk) return true;
-        status = target->ApplyOps(instance_id, chunk);
+        status = target->ApplyOps(instance_id, std::move(chunk));
         chunk.clear();
         return status.ok();
       }));
   TR_RETURN_IF_ERROR(status);
-  return chunk.empty() ? Status::OK() : target->ApplyOps(instance_id, chunk);
+  return chunk.empty() ? Status::OK()
+                       : target->ApplyOps(instance_id, std::move(chunk));
 }
 
 size_t DataServer::TotalKeys() const {
@@ -457,12 +460,11 @@ Status DataServer::RecoverDurable(uint64_t commit_barrier) {
   // from the recovered hosts.
   TR_RETURN_IF_ERROR(wal_->TruncateToBarrier(commit_barrier));
   uint64_t replayed = 0;
-  for (const WalRecord& rec : wal_->recovered()) {
+  for (WalRecord& rec : wal_->TakeRecovered()) {
     if (rec.kind != WalRecord::Kind::kOps) continue;
-    TR_RETURN_IF_ERROR(ApplyOps(rec.instance_id, rec.ops));
+    TR_RETURN_IF_ERROR(ApplyOps(rec.instance_id, std::move(rec.ops)));
     ++replayed;
   }
-  wal_->DropRecovered();
   auto& reg = MetricRegistry::Default();
   reg.GetCounter("store.recovery.replayed_records")->Add(replayed);
   reg.GetCounter("store.recovery.duration_us")->Add(MonoMicros() - t0);

@@ -126,8 +126,9 @@ class DataServer {
   /// The one applier: installs an op record verbatim on the local copy of
   /// `instance_id`, in any role, without logging or cascading it. Used for
   /// host→slave replication, WAL replay and re-seeding. An all-put record
-  /// goes through the engine's MultiPut fast path.
-  Status ApplyOps(int instance_id, const std::vector<WalOp>& ops);
+  /// is moved, strings and all, into the engine's MultiPut fast path; every
+  /// caller owns the record it applies.
+  Status ApplyOps(int instance_id, std::vector<WalOp> ops);
 
   /// Copies the full content of `instance_id` into `target` through
   /// target->ApplyOps (used to re-seed a replacement slave after

@@ -176,14 +176,14 @@ Status Engine::RestoreFrom(const std::string& path) {
   Status s = ReadSnapshot(path, [&](std::string key, std::string value) {
     batch.emplace_back(std::move(key), std::move(value));
     if (batch.size() >= kBatch) {
-      Status put = MultiPut(batch);
+      Status put = MultiPut(std::move(batch));
       batch.clear();
       return put;
     }
     return Status::OK();
   });
   TR_RETURN_IF_ERROR(s);
-  if (!batch.empty()) TR_RETURN_IF_ERROR(MultiPut(batch));
+  if (!batch.empty()) TR_RETURN_IF_ERROR(MultiPut(std::move(batch)));
   return Status::OK();
 }
 

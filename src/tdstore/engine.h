@@ -29,11 +29,13 @@ class Engine {
 
   virtual Status Put(std::string_view key, std::string_view value) = 0;
 
-  /// Applies a batch of puts in order. Engines override this when one pass
-  /// beats repeated Put() calls (amortized locking, one memtable-seal check
-  /// per batch); the default loops Put() and stops at the first error.
+  /// Applies a batch of puts in order, taking ownership of the strings.
+  /// Engines override this when one pass beats repeated Put() calls
+  /// (amortized locking, one memtable-seal check per batch, keys and values
+  /// moved into place); the default loops Put() and stops at the first
+  /// error.
   virtual Status MultiPut(
-      const std::vector<std::pair<std::string, std::string>>& kvs) {
+      std::vector<std::pair<std::string, std::string>> kvs) {
     for (const auto& [key, value] : kvs) {
       Status s = Put(key, value);
       if (!s.ok()) return s;

@@ -17,9 +17,11 @@ Status LdbEngine::Put(std::string_view key, std::string_view value) {
 }
 
 Status LdbEngine::MultiPut(
-    const std::vector<std::pair<std::string, std::string>>& kvs) {
+    std::vector<std::pair<std::string, std::string>> kvs) {
   std::lock_guard lock(mu_);
-  for (const auto& [key, value] : kvs) memtable_[key] = value;
+  for (auto& [key, value] : kvs) {
+    memtable_.insert_or_assign(std::move(key), std::move(value));
+  }
   if (memtable_.size() >= memtable_limit_) {
     SealMemtableLocked();
     MaybeCompactLocked();

@@ -29,7 +29,7 @@ class LdbEngine : public Engine {
   /// One lock acquisition and one seal/compaction check for the whole batch
   /// (the memtable may transiently overshoot its limit by the batch size).
   Status MultiPut(
-      const std::vector<std::pair<std::string, std::string>>& kvs) override;
+      std::vector<std::pair<std::string, std::string>> kvs) override;
   Result<std::string> Get(std::string_view key) const override;
   Status Delete(std::string_view key) override;
   Status ScanPrefix(

@@ -12,10 +12,12 @@ Status MdbEngine::Put(std::string_view key, std::string_view value) {
 }
 
 Status MdbEngine::MultiPut(
-    const std::vector<std::pair<std::string, std::string>>& kvs) {
+    std::vector<std::pair<std::string, std::string>> kvs) {
   std::unique_lock lock(mu_);
   map_.reserve(map_.size() + kvs.size());
-  for (const auto& [key, value] : kvs) map_[key] = value;
+  for (auto& [key, value] : kvs) {
+    map_.insert_or_assign(std::move(key), std::move(value));
+  }
   return Status::OK();
 }
 

@@ -20,7 +20,7 @@ class MdbEngine : public Engine {
   /// One writer-lock acquisition (and one rehash reservation) for the whole
   /// batch instead of per key.
   Status MultiPut(
-      const std::vector<std::pair<std::string, std::string>>& kvs) override;
+      std::vector<std::pair<std::string, std::string>> kvs) override;
   Result<std::string> Get(std::string_view key) const override;
   Status Delete(std::string_view key) override;
   Status ScanPrefix(

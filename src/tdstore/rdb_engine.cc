@@ -30,9 +30,10 @@ Status RdbEngine::Put(std::string_view key, std::string_view value) {
 }
 
 Status RdbEngine::MultiPut(
-    const std::vector<std::pair<std::string, std::string>>& kvs) {
-  TR_RETURN_IF_ERROR(MdbEngine::MultiPut(kvs));
-  return AfterMutations(kvs.size());
+    std::vector<std::pair<std::string, std::string>> kvs) {
+  const size_t n = kvs.size();
+  TR_RETURN_IF_ERROR(MdbEngine::MultiPut(std::move(kvs)));
+  return AfterMutations(n);
 }
 
 Status RdbEngine::Delete(std::string_view key) {

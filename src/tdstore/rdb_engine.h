@@ -29,7 +29,7 @@ class RdbEngine : public MdbEngine {
 
   Status Put(std::string_view key, std::string_view value) override;
   Status MultiPut(
-      const std::vector<std::pair<std::string, std::string>>& kvs) override;
+      std::vector<std::pair<std::string, std::string>> kvs) override;
   Status Delete(std::string_view key) override;
 
   /// Writes a snapshot now.

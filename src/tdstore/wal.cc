@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <utility>
 
 namespace tencentrec::tdstore {
 
@@ -237,11 +238,10 @@ Status Wal::Sync() {
   return SyncLocked(SyncPolicy::kFsyncEveryAppend);
 }
 
-void Wal::DropRecovered() {
+std::vector<WalRecord> Wal::TakeRecovered() {
   std::lock_guard<std::mutex> lock(mu_);
-  recovered_.clear();
-  recovered_.shrink_to_fit();
   recovered_ends_.clear();
+  return std::exchange(recovered_, {});
 }
 
 Status Wal::TruncateToBarrier(uint64_t barrier_id) {

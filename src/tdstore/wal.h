@@ -92,8 +92,8 @@ class Wal {
   const std::vector<WalRecord>& recovered() const { return recovered_; }
   /// Highest barrier id among recovered records (0 = none).
   uint64_t recovered_last_barrier() const { return recovered_last_barrier_; }
-  /// Frees the recovered records once the caller has replayed them.
-  void DropRecovered();
+  /// Moves the recovered records out for replay; the WAL keeps none.
+  std::vector<WalRecord> TakeRecovered();
 
   /// Truncates the recovered log to end exactly at the barrier record with
   /// `barrier_id` (file and recovered() both), discarding the uncommitted

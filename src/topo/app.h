@@ -56,8 +56,8 @@ struct AppOptions {
   // --- implementation mechanisms (§5.2–5.3) ---
   bool enable_cache = true;
   size_t cache_capacity = 1 << 14;
-  bool enable_combiner = true;
-  /// Tick interval (executed tuples) at which combiners flush.
+  /// Tick interval (executed tuples) at which combiners flush; 1 ships
+  /// every counter delta as its own write.
   int combiner_interval = 64;
 
   // --- batched query tier (read-side mirror of the write batching) ---

@@ -28,22 +28,25 @@ class StoreBolt : public tstorm::IBolt {
 
   void Prepare(const tstorm::TaskContext& ctx) override;
 
-  /// Ships any write-behind ops still staged on the batch writer. tstorm
-  /// runs Cleanup after the last Execute/Tick and before Run() returns, so
-  /// every batch's writes reach the store before the engine commits the
-  /// batch barrier (or a query reads the batch's results).
+  /// Ships any write-behind puts still staged on the batch writer, and logs
+  /// the first failed flush since the last Cleanup (an auto-flush reports
+  /// nowhere else). tstorm runs Cleanup after the last Execute/Tick and
+  /// before Run() returns, so every batch's writes reach the store before
+  /// the engine commits the batch barrier (or a query reads the batch's
+  /// results).
   void Cleanup() override;
-
-  const StoreCache::Stats& cache_stats() const { return cache_->stats(); }
 
  protected:
   const AppOptions& options() const { return app_->options; }
   const Keys& keys() const { return app_->keys; }
 
-  /// Ships `combiner`'s whole buffer through the batch writer: one grouped
-  /// per-host store call per op kind instead of an AddDouble round trip per
-  /// key. Keys whose write fails are re-buffered into the combiner
-  /// (at-least-once: the next flush retries them).
+  /// Ships `combiner`'s whole buffer as one MultiIncrDouble: one grouped
+  /// call per host instead of an increment round trip per key, bypassing
+  /// the cache and the batch writer. Keys whose increment fails are
+  /// re-buffered into the combiner (at-least-once: the next flush retries
+  /// them) and the error is logged and returned. Once every delta has
+  /// landed, records the buffered stamps (event-to-store latency from the
+  /// oldest, the watermark at the newest) and clears them.
   Status FlushCombiner(Combiner* combiner);
 
   /// Sliding-window sum of a per-session double counter (Eq. 10 read side):
@@ -80,7 +83,7 @@ class StoreBolt : public tstorm::IBolt {
 
   /// Watermark-only advance, for completion paths with no store write (a
   /// pass-through emit, a no-change upsert) and for combiner flushes, which
-  /// land everything buffered up to the *max* pending stamp while the
+  /// land everything buffered up to the *newest* pending stamp while the
   /// latency histogram gets the honest *oldest* stamp.
   void AdvanceFreshness(uint64_t ingest_micros) {
     freshness_.Advance(ingest_micros);
@@ -166,15 +169,6 @@ class ItemCountBolt : public StoreBolt {
 
  private:
   Combiner combiner_;
-  /// Oldest ingest stamp buffered in the combiner; its delta is recorded
-  /// once per flush, when those counts actually reach the store.
-  uint64_t oldest_pending_ingest_ = 0;
-  /// Newest buffered stamp: the watermark this instance reaches once the
-  /// flush lands (latency reports the oldest, the watermark the newest).
-  uint64_t pending_max_ingest_ = 0;
-  /// First sampled trace id buffered since the last flush (arrival order =
-  /// oldest); the flush span is attributed to it.
-  uint64_t oldest_pending_trace_ = 0;
 };
 
 /// Layer 2b + 3 (Fig. 4, Algorithm 1): grouped by item pair — the key
@@ -235,8 +229,10 @@ class SimilarListBolt : public StoreBolt {
 /// popularity counts through the combiner, then notifies the hot-list
 /// stage:
 ///   "hot_touch" (group, item, ts, ingest, trace) -> HotListBolt [by group]
-/// Combiner-path touches flush at Tick, after the source stamps have been
-/// batched away, so those emit ingest = 0 and trace = 0 (untraced).
+/// Touches are emitted at Tick, once the flush has landed every touched
+/// counter, so the hot-list stage reads current counts. Each carries the
+/// flushed batch's newest ingest stamp (the watermark the hot list may
+/// reach) and its first sampled trace.
 class GroupCountBolt : public StoreBolt {
  public:
   explicit GroupCountBolt(const AppContext* app) : StoreBolt(app) {}
@@ -249,15 +245,10 @@ class GroupCountBolt : public StoreBolt {
                tstorm::OutputCollector& out) override;
   void Tick(tstorm::OutputCollector& out) override;
 
-  const Combiner::Stats& combiner_stats() const { return combiner_.stats(); }
-
  private:
   Combiner combiner_;
   std::set<std::pair<int64_t, int64_t>> touched_;  ///< (group, item)
   EventTime latest_ts_ = 0;
-  uint64_t oldest_pending_ingest_ = 0;
-  uint64_t pending_max_ingest_ = 0;
-  uint64_t oldest_pending_trace_ = 0;
 };
 
 /// Maintains each demographic group's hot-items top-K blob (grouped by
@@ -283,13 +274,8 @@ class CtrStatsBolt : public StoreBolt {
                tstorm::OutputCollector& out) override;
   void Tick(tstorm::OutputCollector& out) override;
 
-  const Combiner::Stats& combiner_stats() const { return combiner_.stats(); }
-
  private:
   Combiner combiner_;
-  uint64_t oldest_pending_ingest_ = 0;
-  uint64_t pending_max_ingest_ = 0;
-  uint64_t oldest_pending_trace_ = 0;
 };
 
 /// CB statistics (grouped by user): folds actions into the user's decayed
