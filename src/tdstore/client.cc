@@ -45,8 +45,7 @@ auto Client::PointOp(LatencyHistogram* latency, std::string_view span_name,
     Status ensure = EnsureRoute();
     if (!ensure.ok()) return ensure;
     for (int attempt = 0;; ++attempt) {
-      const size_t instance = HashString(key) % route_.placements.size();
-      const InstancePlacement& p = route_.placements[instance];
+      const InstancePlacement& p = route_.PlacementOf(key);
       DataServer* host = cluster_->data_server(p.host_server);
       if (host == nullptr) return Status::Internal("route names bad server");
       auto r = op(host, p.instance_id);
@@ -131,8 +130,7 @@ Status Client::GroupedDispatch(size_t n, KeyOf key_of, MakeItem make_item,
     // increment guarantee rides on this).
     std::map<int, std::vector<std::pair<int, size_t>>> by_host;
     for (size_t idx : pending) {
-      const size_t slot = HashString(key_of(idx)) % route_.placements.size();
-      const InstancePlacement& p = route_.placements[slot];
+      const InstancePlacement& p = route_.PlacementOf(key_of(idx));
       by_host[p.host_server].emplace_back(p.instance_id, idx);
     }
     std::vector<size_t> failed;

@@ -3,8 +3,10 @@
 
 #include <cstdint>
 #include <mutex>
+#include <string_view>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/status.h"
 
 namespace tencentrec::tdstore {
@@ -23,6 +25,13 @@ struct InstancePlacement {
 struct RouteTable {
   uint64_t version = 0;
   std::vector<InstancePlacement> placements;  ///< indexed by instance id
+
+  /// The placement serving `key`: keys hash onto instances. The one routing
+  /// rule; every client op and every test that asks where a key lives uses
+  /// it. `placements` must not be empty.
+  const InstancePlacement& PlacementOf(std::string_view key) const {
+    return placements[HashString(key) % placements.size()];
+  }
 };
 
 /// The config server pair (host + backup, §3.3): owns the route table and
