@@ -1,13 +1,17 @@
-// Microbenchmarks: TDStore — raw engine ops per engine type, and routed
-// client ops (hash routing + replication overhead).
+// Microbenchmarks: TDStore — raw engine ops per engine type, MDB at
+// pipeline-sized tables (growth through batched puts, gets out of cache),
+// and routed client ops (hash routing + replication overhead).
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <unistd.h>
+#include <vector>
 
 #include "tdstore/client.h"
 #include "tdstore/cluster.h"
+#include "tdstore/mdb_engine.h"
 
 namespace {
 
@@ -80,6 +84,54 @@ BENCHMARK(BM_EngineGet)
     ->Arg(2)
     ->Arg(3)
     ->ArgName("engine(0=mdb,1=ldb,2=fdb,3=rdb)");
+
+/// `n` distinct 24-byte keys shaped like the pipeline's ("pc:app:" plus a
+/// zero-padded id), in a scattered order.
+std::vector<std::string> PipelineKeys(size_t n) {
+  std::vector<std::string> keys(n);
+  char buf[32];
+  for (size_t i = 0; i < n; ++i) {
+    std::snprintf(buf, sizeof(buf), "pc:app:%017zu", (i * 2654435761u) % n);
+    keys[i] = buf;
+  }
+  return keys;
+}
+
+// The slave-apply shape: 256-key MultiPut runs into one MDB engine that
+// grows from empty to 512k keys, the growth every instance table goes
+// through during ingest. Items are keys put.
+void BM_MdbMultiPutGrowing(benchmark::State& state) {
+  constexpr size_t kKeys = 512 * 1024;
+  constexpr size_t kRun = 256;
+  const std::vector<std::string> keys = PipelineKeys(kKeys);
+  for (auto _ : state) {
+    MdbEngine engine;
+    for (size_t i = 0; i < kKeys; i += kRun) {
+      std::vector<std::pair<std::string, std::string>> run;
+      run.reserve(kRun);
+      for (size_t j = i; j < i + kRun; ++j) run.emplace_back(keys[j], "8 bytes!");
+      benchmark::DoNotOptimize(engine.MultiPut(std::move(run)));
+    }
+    benchmark::DoNotOptimize(engine.Count());
+  }
+  state.SetItemsProcessed(state.iterations() * kKeys);
+}
+BENCHMARK(BM_MdbMultiPutGrowing)->Unit(benchmark::kMillisecond);
+
+// Point gets of present keys over a 256k-key MDB table: out of cache,
+// unlike BM_EngineGet's 4,096 keys.
+void BM_MdbGetLarge(benchmark::State& state) {
+  constexpr size_t kKeys = 256 * 1024;
+  const std::vector<std::string> keys = PipelineKeys(kKeys);
+  MdbEngine engine;
+  for (const std::string& key : keys) (void)engine.Put(key, "8 bytes!");
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.Get(keys[(i++ * 7919) % kKeys]));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MdbGetLarge);
 
 void BM_RoutedClientOps(benchmark::State& state) {
   const bool replicated = state.range(0) != 0;

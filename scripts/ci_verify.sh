@@ -14,11 +14,14 @@
 #      `store` and `topo` labels (the raw-memory flat tables, arena scratch,
 #      and SoA TopK of DESIGN.md §15, the planned-read query path of §11,
 #      the store's run loop, WAL and replication of §10/§14 — `store`
-#      includes durable_test — and the bolts' write path of §10: Combiner,
-#      StoreCache and BatchWriter, in topo_test and parity_test);
+#      includes durable_test — the byte-string table under the MDB/RDB/FDB
+#      engines, BatchWriter and Combiner of §16, in flat_table_test, and the
+#      bolts' write path of §10: Combiner, StoreCache and BatchWriter, in
+#      topo_test and parity_test);
 #   5. a ThreadSanitizer build running the `concurrent` label (sharded
 #      executor, striped histogram/tracer, batch clients, single-flight,
-#      the tstorm task threads and spout-open barrier).
+#      MDB readers against a writer on the §16 table, the tstorm task
+#      threads and spout-open barrier).
 #
 #   scripts/ci_verify.sh [build-dir] [tsan-build-dir] [asan-build-dir]
 #

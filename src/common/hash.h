@@ -38,6 +38,31 @@ inline uint64_t HashCombine(uint64_t a, uint64_t b) {
   return HashInt(a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2)));
 }
 
+/// Hash for in-memory byte-string tables (FlatStringMap): one multiply per
+/// eight bytes, finished with the SplitMix64 mixer so every result bit
+/// depends on the whole key. Deliberately not HashString: TDStore places a
+/// key on instance `HashString(key) % instances`, so all keys of one
+/// instance share that residue, and a power-of-two table indexed by it
+/// would cluster.
+inline uint64_t HashBytes(std::string_view s) {
+  constexpr uint64_t kMul = 0xbf58476d1ce4e5b9ULL;
+  const char* p = s.data();
+  size_t n = s.size();
+  uint64_t h = 0x9e3779b97f4a7c15ULL ^ n;
+  for (; n >= 8; p += 8, n -= 8) {
+    uint64_t word;
+    std::memcpy(&word, p, 8);
+    h = (h ^ word) * kMul;
+    h ^= h >> 32;
+  }
+  if (n > 0) {
+    uint64_t word = 0;
+    std::memcpy(&word, p, n);
+    h = (h ^ word) * kMul;
+  }
+  return HashInt(h);
+}
+
 }  // namespace tencentrec
 
 #endif  // TENCENTREC_COMMON_HASH_H_

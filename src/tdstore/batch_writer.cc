@@ -21,17 +21,16 @@ BatchWriter::BatchWriter(Client* client, Options options)
 
 void BatchWriter::Put(std::string_view key, std::string_view value) {
   if (staged_ops_ != nullptr) staged_ops_->Add();
-  std::string k(key);
-  auto it = index_.find(k);
-  if (it != index_.end()) {
-    puts_[it->second].second.assign(value);
-    uint64_t& trace = traces_[it->second];
+  auto [slot, inserted] = index_.TryEmplace(key);
+  if (!inserted) {
+    puts_[*slot].second.assign(value);
+    uint64_t& trace = traces_[*slot];
     if (trace == 0) trace = CurrentTraceId();
     if (coalesced_puts_ != nullptr) coalesced_puts_->Add();
     return;
   }
-  index_.emplace(k, puts_.size());
-  puts_.emplace_back(std::move(k), std::string(value));
+  *slot = puts_.size();
+  puts_.emplace_back(std::string(key), std::string(value));
   traces_.push_back(CurrentTraceId());
   if (puts_.size() >= flush_at_) (void)Flush();
 }
@@ -40,10 +39,9 @@ void BatchWriter::PutDouble(std::string_view key, double value) {
   Put(key, EncodeDouble(value));
 }
 
-const std::string* BatchWriter::StagedPut(const std::string& key) const {
-  auto it = index_.find(key);
-  if (it == index_.end()) return nullptr;
-  return &puts_[it->second].second;
+const std::string* BatchWriter::StagedPut(std::string_view key) const {
+  const size_t* i = index_.Find(key);
+  return i == nullptr ? nullptr : &puts_[*i].second;
 }
 
 Status BatchWriter::Flush() {
@@ -52,7 +50,7 @@ Status BatchWriter::Flush() {
   std::vector<uint64_t> traces = std::move(traces_);
   puts_.clear();
   traces_.clear();
-  index_.clear();
+  index_.Clear();
   ++flushes_;
   if (flushed_batches_ != nullptr) flushed_batches_->Add();
 
@@ -78,7 +76,7 @@ Status BatchWriter::Flush() {
     // Re-staged for the next flush (at-least-once, like the combiner's
     // re-buffer): the caller's cached copy may be evicted before the key
     // is written again, so the writer keeps the value itself.
-    index_.emplace(puts[i].first, puts_.size());
+    index_.InsertOrAssign(puts[i].first, puts_.size());
     puts_.push_back(std::move(puts[i]));
     traces_.push_back(traces[i]);
   }

@@ -3,10 +3,11 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/metrics.h"
 #include "common/status.h"
 #include "tdstore/client.h"
@@ -56,7 +57,7 @@ class BatchWriter {
   /// Lets a write-behind cache serve read-your-writes even after its copy
   /// of the key was evicted. The pointer is valid only until the next Put()
   /// or Flush().
-  const std::string* StagedPut(const std::string& key) const;
+  const std::string* StagedPut(std::string_view key) const;
 
   /// First error seen by any flush since the last ClearError().
   const Status& last_error() const { return last_error_; }
@@ -75,7 +76,7 @@ class BatchWriter {
   /// reaches the store write even though the write ships later in a batch.
   std::vector<uint64_t> traces_;
   /// Index into puts_ of each staged key (last-wins coalescing).
-  std::unordered_map<std::string, size_t> index_;
+  FlatStringMap<size_t> index_;
   /// Staged-op count that triggers the next auto-flush.
   size_t flush_at_ = 0;
   Status last_error_;

@@ -62,13 +62,12 @@ Status FdbEngine::Recover() {
       uint32_t actual = Crc32(header + 4, kHeaderSize - 4);
       actual = Crc32(data.data(), data.size(), actual);
       if (actual != crc) break;  // torn/corrupt tail
-      std::string key = data.substr(0, key_len);
-      auto it = index_.find(key);
-      if (it != index_.end()) {
-        dead_bytes_ += RecordSize(key.size(), it->second.value_len);
+      const std::string_view key(data.data(), key_len);
+      if (const IndexEntry* old = index_.Find(key)) {
+        dead_bytes_ += RecordSize(key.size(), old->value_len);
       }
       if (tombstone != 0) {
-        if (it != index_.end()) index_.erase(it);
+        index_.Erase(key);
         dead_bytes_ += RecordSize(key.size(), value_len);
       } else {
         IndexEntry entry;
@@ -119,26 +118,25 @@ Status FdbEngine::AppendRecordLocked(std::string_view key,
 Status FdbEngine::Put(std::string_view key, std::string_view value) {
   std::lock_guard lock(mu_);
   if (file_ == nullptr) return Status::FailedPrecondition("engine closed");
-  auto it = index_.find(std::string(key));
-  if (it != index_.end()) {
-    dead_bytes_ += RecordSize(key.size(), it->second.value_len);
+  if (const IndexEntry* old = index_.Find(key)) {
+    dead_bytes_ += RecordSize(key.size(), old->value_len);
   }
   long value_offset = file_size_ + static_cast<long>(kHeaderSize + key.size());
   TR_RETURN_IF_ERROR(AppendRecordLocked(key, value, /*tombstone=*/false));
   IndexEntry entry;
   entry.value_offset = value_offset;
   entry.value_len = static_cast<uint32_t>(value.size());
-  index_[std::string(key)] = entry;
+  index_[key] = entry;
   return MaybeCompactLocked();
 }
 
 Result<std::string> FdbEngine::Get(std::string_view key) const {
   std::lock_guard lock(mu_);
   if (file_ == nullptr) return Status::FailedPrecondition("engine closed");
-  auto it = index_.find(std::string(key));
-  if (it == index_.end()) return Status::NotFound();
-  std::string value(it->second.value_len, '\0');
-  if (std::fseek(file_, it->second.value_offset, SEEK_SET) != 0) {
+  const IndexEntry* entry = index_.Find(key);
+  if (entry == nullptr) return Status::NotFound();
+  std::string value(entry->value_len, '\0');
+  if (std::fseek(file_, entry->value_offset, SEEK_SET) != 0) {
     return Status::IOError("seek failed on " + path_);
   }
   if (std::fread(value.data(), 1, value.size(), file_) != value.size()) {
@@ -150,13 +148,13 @@ Result<std::string> FdbEngine::Get(std::string_view key) const {
 Status FdbEngine::Delete(std::string_view key) {
   std::lock_guard lock(mu_);
   if (file_ == nullptr) return Status::FailedPrecondition("engine closed");
-  auto it = index_.find(std::string(key));
-  if (it == index_.end()) return Status::OK();
-  dead_bytes_ += RecordSize(key.size(), it->second.value_len);
+  const IndexEntry* entry = index_.Find(key);
+  if (entry == nullptr) return Status::OK();
+  dead_bytes_ += RecordSize(key.size(), entry->value_len);
   TR_RETURN_IF_ERROR(AppendRecordLocked(key, "", /*tombstone=*/true));
   // The tombstone record itself is immediately dead weight too.
   dead_bytes_ += RecordSize(key.size(), 0);
-  index_.erase(it);
+  index_.Erase(key);
   return MaybeCompactLocked();
 }
 
@@ -169,8 +167,9 @@ Status FdbEngine::ScanPrefix(
   std::vector<std::string> keys;
   {
     std::lock_guard lock(mu_);
-    for (const auto& [k, e] : index_) {
-      if (StartsWith(k, prefix)) keys.push_back(k);
+    for (size_t i = 0; i < index_.size(); ++i) {
+      const std::string& key = index_.entry(i).key;
+      if (StartsWith(key, prefix)) keys.push_back(key);
     }
   }
   for (const auto& k : keys) {
@@ -211,9 +210,10 @@ Status FdbEngine::MaybeCompactLocked() {
   std::FILE* tmp = std::fopen(tmp_path.c_str(), "wb+");
   if (tmp == nullptr) return Status::IOError("cannot open " + tmp_path);
 
-  std::unordered_map<std::string, IndexEntry> new_index;
+  FlatStringMap<IndexEntry> new_index;
   long new_size = 0;
-  for (const auto& [key, entry] : index_) {
+  for (size_t i = 0; i < index_.size(); ++i) {
+    const auto& [key, entry] = index_.entry(i);
     std::string value(entry.value_len, '\0');
     if (std::fseek(file_, entry.value_offset, SEEK_SET) != 0 ||
         std::fread(value.data(), 1, value.size(), file_) != value.size()) {

@@ -4,8 +4,8 @@
 #include <cstdio>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 
+#include "common/flat_map.h"
 #include "tdstore/engine.h"
 
 namespace tencentrec::tdstore {
@@ -56,7 +56,7 @@ class FdbEngine : public Engine {
   std::FILE* file_ = nullptr;
   long file_size_ = 0;
   size_t dead_bytes_ = 0;
-  std::unordered_map<std::string, IndexEntry> index_;
+  FlatStringMap<IndexEntry> index_;
 };
 
 }  // namespace tencentrec::tdstore

@@ -7,30 +7,29 @@ namespace tencentrec::tdstore {
 
 Status MdbEngine::Put(std::string_view key, std::string_view value) {
   std::unique_lock lock(mu_);
-  map_[std::string(key)] = std::string(value);
+  map_[key].assign(value);
   return Status::OK();
 }
 
 Status MdbEngine::MultiPut(
     std::vector<std::pair<std::string, std::string>> kvs) {
   std::unique_lock lock(mu_);
-  map_.reserve(map_.size() + kvs.size());
   for (auto& [key, value] : kvs) {
-    map_.insert_or_assign(std::move(key), std::move(value));
+    map_.InsertOrAssign(std::move(key), std::move(value));
   }
   return Status::OK();
 }
 
 Result<std::string> MdbEngine::Get(std::string_view key) const {
   std::shared_lock lock(mu_);
-  auto it = map_.find(std::string(key));
-  if (it == map_.end()) return Status::NotFound();
-  return it->second;
+  const std::string* value = map_.Find(key);
+  if (value == nullptr) return Status::NotFound();
+  return *value;
 }
 
 Status MdbEngine::Delete(std::string_view key) {
   std::unique_lock lock(mu_);
-  map_.erase(std::string(key));
+  map_.Erase(key);
   return Status::OK();
 }
 
@@ -39,10 +38,9 @@ Status MdbEngine::ScanPrefix(
     const std::function<bool(std::string_view, std::string_view)>& visitor)
     const {
   std::shared_lock lock(mu_);
-  for (const auto& [k, v] : map_) {
-    if (StartsWith(k, prefix)) {
-      if (!visitor(k, v)) break;
-    }
+  for (size_t i = 0; i < map_.size(); ++i) {
+    const auto& [key, value] = map_.entry(i);
+    if (StartsWith(key, prefix) && !visitor(key, value)) break;
   }
   return Status::OK();
 }
@@ -54,9 +52,9 @@ size_t MdbEngine::Count() const {
 
 Status MdbEngine::RestoreFrom(const std::string& path) {
   std::unique_lock lock(mu_);
-  std::unordered_map<std::string, std::string> loaded;
+  FlatStringMap<std::string> loaded;
   Status s = ReadSnapshot(path, [&](std::string key, std::string value) {
-    loaded[std::move(key)] = std::move(value);
+    loaded.InsertOrAssign(std::move(key), std::move(value));
     return Status::OK();
   });
   TR_RETURN_IF_ERROR(s);

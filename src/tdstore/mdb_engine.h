@@ -3,22 +3,22 @@
 
 #include <shared_mutex>
 #include <string>
-#include <unordered_map>
 
+#include "common/flat_map.h"
 #include "tdstore/engine.h"
 
 namespace tencentrec::tdstore {
 
-/// Memory DataBase engine: a mutex-guarded hash table. The workhorse for
-/// recommendation status data, where everything must fit in memory and
-/// reads dominate.
+/// Memory DataBase engine: a flat byte-string hash table (FlatStringMap)
+/// behind a reader/writer lock. The workhorse for recommendation status
+/// data, where everything must fit in memory and reads dominate.
 class MdbEngine : public Engine {
  public:
   MdbEngine() = default;
 
   Status Put(std::string_view key, std::string_view value) override;
-  /// One writer-lock acquisition (and one rehash reservation) for the whole
-  /// batch instead of per key.
+  /// One writer-lock acquisition for the whole batch instead of per key;
+  /// keys and values are moved into the table.
   Status MultiPut(
       std::vector<std::pair<std::string, std::string>> kvs) override;
   Result<std::string> Get(std::string_view key) const override;
@@ -35,7 +35,7 @@ class MdbEngine : public Engine {
 
  private:
   mutable std::shared_mutex mu_;
-  std::unordered_map<std::string, std::string> map_;
+  FlatStringMap<std::string> map_;
 };
 
 }  // namespace tencentrec::tdstore

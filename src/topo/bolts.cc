@@ -90,7 +90,7 @@ Status StoreBolt::FlushCombiner(Combiner* combiner) {
       if (s.ok()) continue;
       if (first_error.ok()) first_error = s;
       // Re-merged with whatever arrived meanwhile; the next flush retries.
-      combiner->Add(deltas[i].first, deltas[i].second);
+      combiner->Add(std::move(deltas[i].first), deltas[i].second);
     }
   }
   if (!first_error.ok()) {
@@ -297,21 +297,43 @@ void CfPairBolt::Execute(const tstorm::Tuple& input,
   // decoupling of §5.1 means we may read a slightly stale subtotal while
   // its combiner holds a delta — the next touch of this pair refreshes it.
   // pairCounts are this bolt's own keys (cacheable); itemCounts belong to
-  // ItemCountBolt and must be read fresh.
+  // ItemCountBolt and must be read fresh: both items' sessions, and with
+  // pruning both admission thresholds, in one grouped read — one store call
+  // per distinct host instead of a point read per session per item.
   auto pc_sum = WindowSum(
       [&](int64_t s) { return keys().PairCount(s, lo, hi); }, ts,
       /*use_cache=*/true);
-  auto ic_lo = WindowSum(
-      [&](int64_t s) { return keys().ItemCount(s, lo); }, ts,
-      /*use_cache=*/false);
-  auto ic_hi = WindowSum(
-      [&](int64_t s) { return keys().ItemCount(s, hi); }, ts,
-      /*use_cache=*/false);
-  if (!pc_sum.ok() || !ic_lo.ok() || !ic_hi.ok()) {
+  const int64_t first = app_->WindowStart(ts);
+  const size_t sessions = static_cast<size_t>(app_->SessionOf(ts) - first + 1);
+  std::vector<std::string> reads;
+  reads.reserve(2 * sessions + 2);
+  for (core::ItemId item : {lo, hi}) {
+    for (size_t s = 0; s < sessions; ++s) {
+      reads.push_back(keys().ItemCount(first + static_cast<int64_t>(s), item));
+    }
+  }
+  if (options().enable_pruning) {
+    reads.push_back(keys().SimilarThreshold(lo));
+    reads.push_back(keys().SimilarThreshold(hi));
+  }
+  std::vector<Result<double>> read;
+  bool read_ok = pc_sum.ok() && client_->MultiGetDouble(reads, 0.0, &read).ok();
+  // Summed in session order, as WindowSum does, so Eq. 5 is bit-identical
+  // (an absent session adds +0.0, which leaves a sum unchanged).
+  double ic_lo = 0.0;
+  double ic_hi = 0.0;
+  for (size_t s = 0; read_ok && s < sessions; ++s) {
+    read_ok = read[s].ok() && read[sessions + s].ok();
+    if (read_ok) {
+      ic_lo += *read[s];
+      ic_hi += *read[sessions + s];
+    }
+  }
+  if (!read_ok) {
     TR_LOG(kError, "window sum read failed");
     return;
   }
-  const double sim = core::ItemSimilarity(*pc_sum, *ic_lo, *ic_hi);
+  const double sim = core::ItemSimilarity(*pc_sum, ic_lo, ic_hi);
   // Over consistent cumulative counts pairCount <= either itemCount, so
   // Eq. 5 stays <= 1 and a score above 1 means the itemCounts lag their
   // combiner. Such a score would enter the similar list and raise its
@@ -331,15 +353,10 @@ void CfPairBolt::Execute(const tstorm::Tuple& input,
   // Algorithm 1 lines 9–17.
   auto n = client_->IncrInt64(keys().PairObservations(lo, hi), 1);
   if (!n.ok()) return;
-  // Both admission thresholds in one grouped read (they hash to arbitrary
-  // instances, so this is one store call per distinct host instead of two
-  // unconditional calls).
-  std::vector<Result<double>> thresholds;
-  Status t_status = client_->MultiGetDouble(
-      {keys().SimilarThreshold(lo), keys().SimilarThreshold(hi)}, 0.0,
-      &thresholds);
-  if (!t_status.ok() || !thresholds[0].ok() || !thresholds[1].ok()) return;
-  const double t = std::min(*thresholds[0], *thresholds[1]);
+  const Result<double>& t_lo = read[2 * sessions];
+  const Result<double>& t_hi = read[2 * sessions + 1];
+  if (!t_lo.ok() || !t_hi.ok()) return;
+  const double t = std::min(*t_lo, *t_hi);
   if (t <= 0.0) return;
   const double epsilon = std::sqrt(hoeffding_ln_inv_delta_ /
                                    (2.0 * static_cast<double>(*n)));

@@ -4,9 +4,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
+
+#include "common/flat_map.h"
 
 namespace tencentrec::topo {
 
@@ -35,9 +36,10 @@ class Combiner {
     uint64_t first_trace = 0;    ///< sampled trace the flush is attributed to
   };
 
-  /// Merges `delta` into the buffered value for `key` (combine op = add).
-  void Add(const std::string& key, double delta) {
-    buffer_[key] += delta;
+  /// Merges `delta` into the buffered value for `key` (combine op = add);
+  /// a first-seen key is moved into the buffer.
+  void Add(std::string key, double delta) {
+    *buffer_.TryEmplace(std::move(key)).first += delta;
     ++stats_.added;
   }
 
@@ -58,9 +60,10 @@ class Combiner {
   void Drain(std::vector<std::pair<std::string, double>>* out) {
     out->clear();
     out->reserve(buffer_.size());
-    for (auto& [key, delta] : buffer_) out->emplace_back(key, delta);
     stats_.flushed += static_cast<int64_t>(buffer_.size());
-    buffer_.clear();
+    buffer_.Drain([out](std::string&& key, double&& delta) {
+      out->emplace_back(std::move(key), delta);
+    });
   }
 
   const Stamps& stamps() const { return stamps_; }
@@ -71,7 +74,7 @@ class Combiner {
   const Stats& stats() const { return stats_; }
 
  private:
-  std::unordered_map<std::string, double> buffer_;
+  FlatStringMap<double> buffer_;
   Stamps stamps_;
   Stats stats_;
 };

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "common/metrics.h"
 #include "common/random.h"
 #include "core/itemcf/item_cf.h"
@@ -460,6 +462,77 @@ TEST(CfPairBoltTest, StaleItemCountsScoringAboveOneEmitNothing) {
     EXPECT_EQ(stream, 0);  // sim_update
     EXPECT_EQ(tuple.GetDouble(2), 0.75);
   }
+}
+
+TEST(CfPairBoltTest, PairTouchReadsCountsAndThresholdsOncePerHost) {
+  // A pair touch reads both items' windowed itemCounts and both admission
+  // thresholds in one grouped read: at most one store call per data server,
+  // however many sessions the window holds (a point read per session per
+  // item would cost 2W calls).
+  tdstore::Cluster::Options store_options;
+  store_options.num_data_servers = 3;
+  store_options.num_instances = 12;
+  auto cluster = tdstore::Cluster::Create(store_options);
+  ASSERT_TRUE(cluster.ok());
+  AppOptions options;
+  options.app = "grouped";
+  options.enable_pruning = true;
+  options.session_length = Hours(1);
+  options.window_sessions = 4;
+  AppContext app(cluster->get(), options);
+  constexpr ItemId kLo = 3, kHi = 9;
+  const EventTime ts = Hours(10) + Minutes(5);
+  const tdstore::RouteTable route =
+      (*cluster)->config().GetRouteTable().value();
+  tdstore::Client seed(cluster->get());
+  std::set<int> read_hosts;
+  double ic_lo = 0.0, ic_hi = 0.0;
+  for (int64_t s = app.WindowStart(ts); s <= app.SessionOf(ts); ++s) {
+    ASSERT_TRUE(seed.PutDouble(app.keys.ItemCount(s, kLo), 2.0).ok());
+    ASSERT_TRUE(seed.PutDouble(app.keys.ItemCount(s, kHi), 3.0).ok());
+    ic_lo += 2.0;
+    ic_hi += 3.0;
+    read_hosts.insert(route.PlacementOf(app.keys.ItemCount(s, kLo)).host_server);
+    read_hosts.insert(route.PlacementOf(app.keys.ItemCount(s, kHi)).host_server);
+  }
+  for (ItemId item : {kLo, kHi}) {
+    ASSERT_TRUE(seed.PutDouble(app.keys.SimilarThreshold(item), 0.1).ok());
+    read_hosts.insert(
+        route.PlacementOf(app.keys.SimilarThreshold(item)).host_server);
+  }
+  ASSERT_GE(read_hosts.size(), 2u);  // the read really fans out
+
+  CfPairBolt bolt(&app);
+  tstorm::TaskContext ctx;
+  ctx.component_name = "cf_pair";
+  static_cast<StoreBolt&>(bolt).Prepare(ctx);  // CfPairBolt's is private
+  RecordingCollector out;
+  const tstorm::Tuple touch = tstorm::Tuple::Of(
+      {kLo, kHi, 1.0, int64_t{ts}, int64_t{0}, int64_t{0}});
+  // The first touch warms the cache with the bolt's own keys (prune flag,
+  // pairCount sessions); the second costs only the grouped read and the
+  // observation increment.
+  bolt.Execute(touch, {}, out);
+  for (int s = 0; s < 3; ++s) (*cluster)->data_server(s)->ResetCounters();
+  out.emitted.clear();
+  bolt.Execute(touch, {}, out);
+
+  const int incr_host =
+      route.PlacementOf(app.keys.PairObservations(kLo, kHi)).host_server;
+  int64_t total = 0;
+  for (int s = 0; s < 3; ++s) {
+    const int64_t calls = (*cluster)->data_server(s)->invocations();
+    total += calls;
+    EXPECT_LE(calls - (s == incr_host ? 1 : 0), 1) << "server " << s;
+  }
+  EXPECT_EQ(total, static_cast<int64_t>(read_hosts.size()) + 1);
+  ASSERT_EQ(out.emitted.size(), 2u);
+  for (const auto& [stream, tuple] : out.emitted) {
+    EXPECT_EQ(stream, 0);  // sim_update
+    EXPECT_EQ(tuple.GetDouble(2), core::ItemSimilarity(2.0, ic_lo, ic_hi));
+  }
+  EXPECT_EQ(bolt.prune_decisions(), 0);
+  bolt.Cleanup();
 }
 
 TEST(CfPairBoltTest, WindowedScoreAboveOneMatchesTheKernel) {
