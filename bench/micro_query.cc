@@ -9,7 +9,9 @@
 // asserting a >= 5x cut in store invocations per recommendation against
 // the keys the queries planned — the point reads a one-Get-per-key path
 // would make — and emitting BENCH_micro_query.json. The google-benchmark
-// suite follows.
+// suite follows; BM_RecommendCfMirror serves the same warm state from the
+// engine's in-memory ParallelItemCf mirror, for comparison with
+// BM_RecommendCf's store-backed path.
 
 #include <benchmark/benchmark.h>
 
@@ -36,6 +38,8 @@ std::unique_ptr<engine::TencentRec> MakeWarmEngine() {
   // Windowed counters (6 live sessions) so every candidate/pair count is a
   // multi-key window read — the regime the batched tier is built for.
   options.app.window_sessions = 6;
+  // ProcessBatch feeds the mirror the same stream the topology ingests.
+  options.mirror_parallel_cf = true;
   options.store.num_data_servers = 2;
   options.store.num_instances = 8;
   auto engine = engine::TencentRec::Create(options);
@@ -217,6 +221,22 @@ void BM_RecommendCf(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RecommendCf);
+
+void BM_RecommendCfMirror(benchmark::State& state) {
+  auto* engine = WarmEngine();
+  if (engine == nullptr || engine->parallel_cf() == nullptr) {
+    state.SkipWithError("engine init failed");
+    return;
+  }
+  const core::ParallelItemCf* mirror = engine->parallel_cf();
+  UserId user = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        mirror->RecommendForUser(1 + (user++ % 200), 10));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RecommendCfMirror);
 
 void BM_HybridRecommend(benchmark::State& state) {
   auto* engine = WarmEngine();

@@ -18,10 +18,11 @@
 #      engines, BatchWriter and Combiner of §16, in flat_table_test, and the
 #      bolts' write path of §10: Combiner, StoreCache and BatchWriter, in
 #      topo_test and parity_test);
-#   5. a ThreadSanitizer build running the `concurrent` label (sharded
-#      executor, striped histogram/tracer, batch clients, single-flight,
-#      MDB readers against a writer on the §16 table, the tstorm task
-#      threads and spout-open barrier).
+#   5. a ThreadSanitizer build running the `concurrent` and `topo` labels
+#      (sharded executor, striped histogram/tracer, batch clients,
+#      single-flight, MDB readers against a writer on the §16 table, the
+#      tstorm task threads and spout-open barrier, and the store-backed
+#      path: bolts over TDStore in topo_test and parity_test).
 #
 #   scripts/ci_verify.sh [build-dir] [tsan-build-dir] [asan-build-dir]
 #
@@ -63,9 +64,9 @@ if [[ "${TR_SKIP_TSAN:-0}" == "1" ]]; then
   exit 0
 fi
 
-echo "=== tsan: concurrent label under ThreadSanitizer ==="
+echo "=== tsan: concurrent + topo labels under ThreadSanitizer ==="
 cmake -B "$tsan_dir" -S "$repo_root" -DTR_SANITIZE_THREAD=ON
 cmake --build "$tsan_dir" -j "$(nproc)"
-(cd "$tsan_dir" && ctest -L concurrent --output-on-failure)
+(cd "$tsan_dir" && ctest -L 'concurrent|topo' --output-on-failure)
 
 echo "ci_verify: all gates passed"

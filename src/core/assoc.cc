@@ -57,11 +57,7 @@ Recommendations AssocRules::RecommendForItem(ItemId item, size_t n) const {
     const double conf = Confidence(item, other);
     if (conf > 0.0) scored.push_back({other, conf});
   }
-  std::sort(scored.begin(), scored.end(),
-            [](const ScoredItem& a, const ScoredItem& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.item < b.item;
-            });
+  std::sort(scored.begin(), scored.end(), ByRank());
   if (scored.size() > n) scored.resize(n);
   return scored;
 }
@@ -86,11 +82,7 @@ Recommendations AssocRules::RecommendForUser(UserId user, size_t n) const {
   Recommendations scored;
   scored.reserve(best.size());
   for (const auto& [item, conf] : best) scored.push_back({item, conf});
-  std::sort(scored.begin(), scored.end(),
-            [](const ScoredItem& a, const ScoredItem& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.item < b.item;
-            });
+  std::sort(scored.begin(), scored.end(), ByRank());
   if (scored.size() > n) scored.resize(n);
   return scored;
 }

@@ -124,11 +124,7 @@ Recommendations ContentBased::RecommendForUser(UserId user, size_t n,
     if (entry.norm <= 0.0 || dot <= 0.0) continue;
     scored.push_back({item, dot / (profile_norm * entry.norm)});
   }
-  std::sort(scored.begin(), scored.end(),
-            [](const ScoredItem& a, const ScoredItem& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.item < b.item;
-            });
+  std::sort(scored.begin(), scored.end(), ByRank());
   if (scored.size() > n) scored.resize(n);
   return scored;
 }

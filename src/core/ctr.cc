@@ -117,11 +117,7 @@ Recommendations SituationalCtr::RankByCtr(const std::vector<ItemId>& candidates,
   for (ItemId item : candidates) {
     scored.push_back({item, PredictCtr(item, d)});
   }
-  std::sort(scored.begin(), scored.end(),
-            [](const ScoredItem& a, const ScoredItem& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.item < b.item;
-            });
+  std::sort(scored.begin(), scored.end(), ByRank());
   if (scored.size() > n) scored.resize(n);
   return scored;
 }

@@ -64,11 +64,7 @@ Recommendations DemographicRecommender::HotItems(GroupId group,
     if (c > 0.0) scored.push_back({item, c});
   }
   if (scored.empty() && group != 0) return HotItems(0, n);
-  std::sort(scored.begin(), scored.end(),
-            [](const ScoredItem& a, const ScoredItem& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.item < b.item;
-            });
+  std::sort(scored.begin(), scored.end(), ByRank());
   if (scored.size() > n) scored.resize(n);
   return scored;
 }

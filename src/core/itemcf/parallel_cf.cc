@@ -1,12 +1,10 @@
 #include "core/itemcf/parallel_cf.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/hash.h"
 #include "common/logging.h"
 #include "common/trace.h"
-#include "core/itemcf/predict.h"
 
 namespace tencentrec::core {
 
@@ -35,19 +33,10 @@ std::string ParallelItemCf::StageNameFor(const char* stage) const {
 ParallelItemCf::ParallelItemCf(Options options) : options_(std::move(options)) {
   options_.user_shards = std::max(1, options_.user_shards);
   options_.pair_shards = std::max(1, options_.pair_shards);
-  options_.count_stripes = std::max(1, options_.count_stripes);
-  options_.list_stripes = std::max(1, options_.list_stripes);
   options_.batch_size = std::max<size_t>(1, options_.batch_size);
   options_.queue_capacity = std::max<size_t>(1, options_.queue_capacity);
-  if (options_.cf.hoeffding_delta <= 0.0 ||
-      options_.cf.hoeffding_delta >= 1.0) {
-    options_.cf.hoeffding_delta = 0.05;
-  }
-  hoeffding_ln_inv_delta_ = std::log(1.0 / options_.cf.hoeffding_delta);
   user_shard_mask_ = MaskFor(static_cast<size_t>(options_.user_shards));
   pair_shard_mask_ = MaskFor(static_cast<size_t>(options_.pair_shards));
-  count_stripe_mask_ = MaskFor(static_cast<size_t>(options_.count_stripes));
-  list_stripe_mask_ = MaskFor(static_cast<size_t>(options_.list_stripes));
 
   if (MetricsEnabled() && !options_.metrics_scope.empty()) {
     auto& reg = MetricRegistry::Default();
@@ -62,27 +51,19 @@ ParallelItemCf::ParallelItemCf(Options options) : options_(std::move(options)) {
   // slightly different points in the stream, and eager eviction would
   // misread a lagging shard's in-order events as late data whenever the
   // stream jumps across sessions (see WindowedCounts::SetDeferredEviction).
-  for (int s = 0; s < options_.count_stripes; ++s) {
-    auto stripe = std::make_unique<CountStripe>(options_.cf.session_length,
-                                                options_.cf.window_sessions);
-    stripe->counts.SetDeferredEviction(true);
-    item_stripes_.push_back(std::move(stripe));
-  }
-  for (int s = 0; s < options_.list_stripes; ++s) {
-    list_stripes_.push_back(std::make_unique<ListStripe>());
+  for (size_t s = 0; s < kStripes; ++s) {
+    stripes_.push_back(std::make_unique<Stripe>(options_.cf));
+    stripes_.back()->counts.SetDeferredEviction(true);
   }
 
   pending_.resize(static_cast<size_t>(options_.user_shards));
   for (int s = 0; s < options_.pair_shards; ++s) {
-    auto shard = std::make_unique<PairShard>(options_.queue_capacity,
-                                             options_.cf.session_length,
-                                             options_.cf.window_sessions);
-    shard->counts.SetDeferredEviction(true);
+    auto shard = std::make_unique<PairShard>(options_);
+    shard->layer.counts().SetDeferredEviction(true);
     pair_shards_.push_back(std::move(shard));
   }
   for (int s = 0; s < options_.user_shards; ++s) {
-    user_shards_.push_back(
-        std::make_unique<UserShard>(options_.queue_capacity));
+    user_shards_.push_back(std::make_unique<UserShard>(options_));
   }
   // Freshness slots are registered before the workers start so the stages
   // exist (with no-data watermarks) from the first /vars publication. The
@@ -120,14 +101,8 @@ size_t ParallelItemCf::PairShardOf(const PairKey& key) const {
   return Route(PairKeyHash()(key), pair_shard_mask_, pair_shards_.size());
 }
 
-ParallelItemCf::CountStripe& ParallelItemCf::ItemStripe(ItemId item) const {
-  return *item_stripes_[Route(HashInt(static_cast<uint64_t>(item)),
-                              count_stripe_mask_, item_stripes_.size())];
-}
-
-ParallelItemCf::ListStripe& ParallelItemCf::ListStripeOf(ItemId item) const {
-  return *list_stripes_[Route(HashInt(static_cast<uint64_t>(item)),
-                              list_stripe_mask_, list_stripes_.size())];
+ParallelItemCf::Stripe& ParallelItemCf::StripeOf(ItemId item) const {
+  return *stripes_[HashInt(static_cast<uint64_t>(item)) & (kStripes - 1)];
 }
 
 // --- ingestion (driver thread) ----------------------------------------------
@@ -200,8 +175,8 @@ void ParallelItemCf::Drain() {
   AwaitBarrier();
 
   // Shared itemCounts advance the same way.
-  for (auto& stripe : item_stripes_) {
-    std::lock_guard<ProfiledMutex> lock(stripe->mu);
+  for (auto& stripe : stripes_) {
+    std::lock_guard<ProfiledMutex> lock(stripe->count_mu);
     stripe->counts.AdvanceTo(max_ts_);
   }
 }
@@ -218,42 +193,6 @@ void ParallelItemCf::Shutdown() {
   for (auto& shard : pair_shards_) {
     if (shard->thread.joinable()) shard->thread.join();
   }
-}
-
-// --- slot-store accessors ----------------------------------------------------
-
-UserHistory& ParallelItemCf::HistoryFor(UserShard* shard, UserId user) {
-  uint32_t& idx = shard->history_index[PackUser(user)];
-  if (idx == 0) {
-    // 1-based slot ids so the flat table's zero value means "absent"; the
-    // deque keeps rows at stable addresses across inserts.
-    shard->history_store.emplace_back();
-    idx = static_cast<uint32_t>(shard->history_store.size());
-  }
-  return shard->history_store[idx - 1];
-}
-
-const UserHistory* ParallelItemCf::FindHistory(const UserShard& shard,
-                                               UserId user) const {
-  const uint32_t* idx = shard.history_index.Find(PackUser(user));
-  return idx == nullptr ? nullptr : &shard.history_store[*idx - 1];
-}
-
-TopK<ItemId>& ParallelItemCf::GetListLocked(ListStripe& stripe, ItemId item) {
-  uint32_t& idx = stripe.index[PackItem(item)];
-  if (idx == 0) {
-    stripe.store.emplace_back(static_cast<size_t>(options_.cf.top_k));
-    idx = static_cast<uint32_t>(stripe.store.size());
-  }
-  return stripe.store[idx - 1];
-}
-
-TopK<ItemId>* ParallelItemCf::FindListLocked(const ListStripe& stripe,
-                                             ItemId item) const {
-  const uint32_t* idx = stripe.index.Find(PackItem(item));
-  return idx == nullptr
-             ? nullptr
-             : const_cast<TopK<ItemId>*>(&stripe.store[*idx - 1]);
 }
 
 // --- layer 1: user-history workers -------------------------------------------
@@ -308,22 +247,17 @@ void ParallelItemCf::UserWorker(UserShard* shard) {
 
 void ParallelItemCf::HandleAction(UserShard* shard, const UserAction& action,
                                   std::vector<std::vector<PairDelta>>* out) {
-  ++shard->actions;
   ScopedSpan span(action.trace_id, "parallel_cf.user-history");
-  UserHistory& history = HistoryFor(shard, action.user);
-  if (options_.cf.history_ttl > 0) {
-    history.EvictOlderThan(action.timestamp - options_.cf.history_ttl);
-  }
-  // Callback form of Apply: no per-action pair vector. The rating callback
-  // fires before any pair callback, preserving the publish order the
-  // consistency model needs — the item-count delta is visible in its stripe
-  // before any co-rating delta that depends on it is even buffered.
-  history.Apply(
-      action, options_.cf.weights, options_.cf.linked_time,
+  // The rating callback fires before any pair callback, preserving the
+  // publish order the consistency model needs — the item-count delta is
+  // visible in its stripe before any co-rating delta that depends on it is
+  // even buffered.
+  shard->layer.Apply(
+      action,
       [this, &action](ItemId item, double rating_delta, double /*new_rating*/) {
         if (rating_delta > 0.0) {
-          CountStripe& stripe = ItemStripe(item);
-          std::lock_guard<ProfiledMutex> lock(stripe.mu);
+          Stripe& stripe = StripeOf(item);
+          std::lock_guard<ProfiledMutex> lock(stripe.count_mu);
           stripe.counts.AddItem(item, rating_delta, action.timestamp);
         }
         // (Zero-delta actions advance windows lazily — the Drain watermark
@@ -348,14 +282,15 @@ void ParallelItemCf::HandleAction(UserShard* shard, const UserAction& action,
 
 void ParallelItemCf::PairWorker(PairShard* shard) {
   RegisterStageThread(StageNameFor("count+sim"));
-  // Per-batch itemCount memo (see HandlePairDelta); lives across batches so
+  // Per-batch itemCount memo (see StripedItems); lives across batches so
   // its capacity stabilizes, but its *entries* are cleared per batch.
   FlatMap64<double> item_counts;
+  StripedItems items{this, &item_counts};
   while (auto msg = shard->queue.Pop()) {
     shard->heartbeat.fetch_add(1, std::memory_order_relaxed);
     const uint64_t t0 = NowMicros();
     if (msg->flush) {
-      shard->counts.AdvanceTo(msg->watermark);
+      shard->layer.counts().AdvanceTo(msg->watermark);
       // Phase-2 token: all phase-1 output reached this shard first (FIFO),
       // so the drain's ingest high-water mark is fully processed here too.
       shard->freshness.Advance(msg->ingest_watermark);
@@ -374,10 +309,14 @@ void ParallelItemCf::PairWorker(PairShard* shard) {
     for (size_t d = 0; d < deltas.size(); ++d) {
       // Overlap the next delta's pair-table misses with this delta's work.
       if (d + 1 < deltas.size()) {
-        shard->counts.PrefetchPair(deltas[d + 1].i, deltas[d + 1].j);
+        shard->layer.counts().PrefetchPair(deltas[d + 1].i, deltas[d + 1].j);
       }
-      HandlePairDelta(shard, deltas[d], &item_counts);
-      if (deltas[d].ingest > batch_ingest) batch_ingest = deltas[d].ingest;
+      const PairDelta& delta = deltas[d];
+      {
+        ScopedSpan span(delta.trace_id, "parallel_cf.count+sim");
+        shard->layer.Update(delta.i, delta.j, delta.co_delta, delta.ts, items);
+      }
+      if (delta.ingest > batch_ingest) batch_ingest = delta.ingest;
     }
     shard->freshness.Advance(batch_ingest);
     shard->events += msg->deltas.size();
@@ -388,232 +327,133 @@ void ParallelItemCf::PairWorker(PairShard* shard) {
   }
 }
 
-void ParallelItemCf::HandlePairDelta(PairShard* shard, const PairDelta& delta,
-                                     FlatMap64<double>* item_counts) {
-  ScopedSpan span(delta.trace_id, "parallel_cf.count+sim");
-  const uint64_t key = PackPair(delta.i, delta.j);
-  if (options_.cf.enable_pruning && shard->pruned.Contains(key)) {
-    ++shard->pair_updates_pruned;
-    return;
-  }
-
-  shard->counts.AddPair(delta.i, delta.j, delta.co_delta, delta.ts);
-  ++shard->pair_updates;
-
-  const double pc = shard->counts.PairCount(delta.i, delta.j);
-  const double sim =
-      EffectiveFrom(CachedItemCountOf(item_counts, delta.i),
-                    CachedItemCountOf(item_counts, delta.j), pc);
-
-  // Maintain both items' similar-items lists (striped shared state; one
-  // stripe lock at a time, so no ordering discipline is needed).
-  {
-    ListStripe& stripe = ListStripeOf(delta.i);
-    std::lock_guard<ProfiledMutex> lock(stripe.mu);
-    GetListLocked(stripe, delta.i).Update(delta.j, sim);
-  }
-  {
-    ListStripe& stripe = ListStripeOf(delta.j);
-    std::lock_guard<ProfiledMutex> lock(stripe.mu);
-    GetListLocked(stripe, delta.j).Update(delta.i, sim);
-  }
-
-  if (!options_.cf.enable_pruning) return;
-
-  const uint32_t n = ++shard->observations[key];
-  const double t =
-      std::min(ListThresholdOf(delta.i), ListThresholdOf(delta.j));
-  if (t <= 0.0) return;
-  const double epsilon =
-      std::sqrt(hoeffding_ln_inv_delta_ / (2.0 * static_cast<double>(n)));
-  if (epsilon < t - sim) {
-    shard->pruned.Insert(key);
-    ++shard->pairs_pruned;
-    // Under concurrency the stale-entry erase is live (a racing update may
-    // have admitted the pair with a higher snapshot score); the shrunk
-    // list's threshold conservatively reopens to 0 — see TopK::Threshold.
-    {
-      ListStripe& stripe = ListStripeOf(delta.i);
-      std::lock_guard<ProfiledMutex> lock(stripe.mu);
-      if (TopK<ItemId>* list = FindListLocked(stripe, delta.i)) {
-        list->Erase(delta.j);
-      }
-    }
-    {
-      ListStripe& stripe = ListStripeOf(delta.j);
-      std::lock_guard<ProfiledMutex> lock(stripe.mu);
-      if (TopK<ItemId>* list = FindListLocked(stripe, delta.j)) {
-        list->Erase(delta.i);
-      }
-    }
-  }
-}
-
 double ParallelItemCf::ItemCountOf(ItemId item) const {
-  CountStripe& stripe = ItemStripe(item);
-  std::lock_guard<ProfiledMutex> lock(stripe.mu);
+  Stripe& stripe = StripeOf(item);
+  std::lock_guard<ProfiledMutex> lock(stripe.count_mu);
   return stripe.counts.ItemCount(item);
 }
 
-double ParallelItemCf::CachedItemCountOf(FlatMap64<double>* cache,
-                                         ItemId item) const {
+double ParallelItemCf::StripedItems::ItemCount(ItemId item) const {
   const uint64_t key = PackItem(item);
-  if (const double* v = cache->Find(key)) return *v;
-  const double c = ItemCountOf(item);
-  (*cache)[key] = c;
+  if (const double* v = memo->Find(key)) return *v;
+  const double c = cf->ItemCountOf(item);
+  (*memo)[key] = c;
   return c;
 }
 
-double ParallelItemCf::EffectiveFrom(double count_a, double count_b,
-                                     double pair_count) const {
-  // Eq. 5/10 + shrinkage.
-  double sim = ItemSimilarity(pair_count, count_a, count_b);
-  if (sim > 0.0 && options_.cf.support_shrinkage > 0.0) {
-    sim *= pair_count / (pair_count + options_.cf.support_shrinkage);
-  }
-  return sim;
+void ParallelItemCf::StripedItems::Update(ItemId item, ItemId other,
+                                          double sim) const {
+  Stripe& stripe = cf->StripeOf(item);
+  std::lock_guard<ProfiledMutex> lock(stripe.list_mu);
+  stripe.lists.Update(item, other, sim);
 }
 
-double ParallelItemCf::SimilarityFromCounts(ItemId a, ItemId b,
-                                            double pair_count) const {
-  return ItemSimilarity(pair_count, ItemCountOf(a), ItemCountOf(b));
+double ParallelItemCf::StripedItems::Threshold(ItemId item) const {
+  Stripe& stripe = cf->StripeOf(item);
+  std::lock_guard<ProfiledMutex> lock(stripe.list_mu);
+  return stripe.lists.Threshold(item);
 }
 
-double ParallelItemCf::EffectiveFromCounts(ItemId a, ItemId b,
-                                           double pair_count) const {
-  return EffectiveFrom(ItemCountOf(a), ItemCountOf(b), pair_count);
-}
-
-double ParallelItemCf::ListThresholdOf(ItemId item) const {
-  ListStripe& stripe = ListStripeOf(item);
-  std::lock_guard<ProfiledMutex> lock(stripe.mu);
-  const TopK<ItemId>* list = FindListLocked(stripe, item);
-  return list == nullptr ? 0.0 : list->Threshold();
+void ParallelItemCf::StripedItems::Erase(ItemId item, ItemId other) const {
+  Stripe& stripe = cf->StripeOf(item);
+  std::lock_guard<ProfiledMutex> lock(stripe.list_mu);
+  stripe.lists.Erase(item, other);
 }
 
 // --- queries (quiescent pipeline) --------------------------------------------
 
 double ParallelItemCf::Similarity(ItemId a, ItemId b) const {
-  const PairKey key(a, b);
-  const double pc = pair_shards_[PairShardOf(key)]->counts.PairCount(a, b);
-  return SimilarityFromCounts(a, b, pc);
+  return pair_shards_[PairShardOf(PairKey(a, b))]->layer.Similarity(
+      a, b, [this](ItemId item) { return ItemCountOf(item); });
 }
 
 double ParallelItemCf::EffectiveSimilarity(ItemId a, ItemId b) const {
-  const PairKey key(a, b);
-  const double pc = pair_shards_[PairShardOf(key)]->counts.PairCount(a, b);
-  return EffectiveFromCounts(a, b, pc);
+  return pair_shards_[PairShardOf(PairKey(a, b))]->layer.EffectiveSimilarity(
+      a, b, [this](ItemId item) { return ItemCountOf(item); });
 }
 
 const TopK<ItemId>* ParallelItemCf::SimilarItems(ItemId item) const {
-  ListStripe& stripe = ListStripeOf(item);
-  std::lock_guard<ProfiledMutex> lock(stripe.mu);
-  return FindListLocked(stripe, item);
+  Stripe& stripe = StripeOf(item);
+  std::lock_guard<ProfiledMutex> lock(stripe.list_mu);
+  return stripe.lists.Find(item);
 }
 
 std::vector<ItemId> ParallelItemCf::RecentItemsOf(UserId user) const {
-  const UserShard& shard = *user_shards_[UserShardOf(user)];
-  const UserHistory* history = FindHistory(shard, user);
-  if (history == nullptr) return {};
-  const size_t k = options_.cf.recent_k > 0
-                       ? static_cast<size_t>(options_.cf.recent_k)
-                       : history->size();
-  return history->RecentItems(k);
+  return user_shards_[UserShardOf(user)]->layer.RecentItemsOf(user);
 }
 
 double ParallelItemCf::UserRating(UserId user, ItemId item) const {
-  const UserHistory* history =
-      FindHistory(*user_shards_[UserShardOf(user)], user);
-  return history == nullptr ? 0.0 : history->RatingOf(item);
+  return user_shards_[UserShardOf(user)]->layer.UserRating(user, item);
 }
 
 Recommendations ParallelItemCf::RecommendForUser(UserId user,
                                                  size_t n) const {
-  const UserHistory* history =
-      FindHistory(*user_shards_[UserShardOf(user)], user);
-  if (history == nullptr) return {};
-  return PredictFromRecent(
-      *history, RecentItemsOf(user),
-      [this](ItemId q) { return SimilarItems(q); },
-      [this](ItemId p, ItemId q) { return EffectiveSimilarity(p, q); }, n);
+  return user_shards_[UserShardOf(user)]->layer.RecommendForUser(
+      user, n, [this](ItemId q) { return SimilarItems(q); },
+      [this](ItemId p, ItemId q) { return EffectiveSimilarity(p, q); });
 }
 
 bool ParallelItemCf::IsPruned(ItemId a, ItemId b) const {
-  return pair_shards_[PairShardOf(PairKey(a, b))]->pruned.Contains(
-      PackPair(a, b));
+  return pair_shards_[PairShardOf(PairKey(a, b))]->layer.IsPruned(a, b);
 }
 
 void ParallelItemCf::VisitItemCounts(
     const std::function<void(ItemId, double)>& visitor) const {
-  for (const auto& stripe : item_stripes_) {
-    std::lock_guard lock(stripe->mu);
+  for (const auto& stripe : stripes_) {
+    std::lock_guard lock(stripe->count_mu);
     stripe->counts.VisitItemCounts(visitor);
   }
 }
 
 void ParallelItemCf::VisitSimilarLists(
     const std::function<void(ItemId, const TopK<ItemId>&)>& visitor) const {
-  for (const auto& stripe : list_stripes_) {
-    std::lock_guard lock(stripe->mu);
-    stripe->index.ForEach([&](uint64_t packed, uint32_t slot) {
-      visitor(static_cast<ItemId>(packed), stripe->store[slot - 1]);
-    });
+  for (const auto& stripe : stripes_) {
+    std::lock_guard lock(stripe->list_mu);
+    stripe->lists.ForEach(visitor);
   }
 }
 
-PracticalItemCf::Stats ParallelItemCf::stats() const {
-  PracticalItemCf::Stats stats;
-  for (const auto& shard : user_shards_) stats.actions += shard->actions;
-  for (const auto& shard : pair_shards_) {
-    stats.pair_updates += shard->pair_updates;
-    stats.pair_updates_pruned += shard->pair_updates_pruned;
-    stats.pairs_pruned += shard->pairs_pruned;
-  }
+ItemCfStats ParallelItemCf::stats() const {
+  ItemCfStats stats;
+  for (const auto& shard : user_shards_) stats += shard->layer.stats();
+  for (const auto& shard : pair_shards_) stats += shard->layer.stats();
   return stats;
 }
 
 std::vector<ParallelItemCf::StageStats> ParallelItemCf::stage_stats() const {
-  StageStats user;
-  user.stage = "user-history";
-  user.workers = static_cast<int>(user_shards_.size());
-  for (const auto& shard : user_shards_) {
-    user.events += shard->events;
-    user.batches += shard->batches;
-    user.busy_micros += shard->busy_micros;
-  }
-  StageStats pair;
-  pair.stage = "count+sim";
-  pair.workers = static_cast<int>(pair_shards_.size());
-  for (const auto& shard : pair_shards_) {
-    pair.events += shard->events;
-    pair.batches += shard->batches;
-    pair.busy_micros += shard->busy_micros;
-  }
-  return {user, pair};
+  auto stage = [](const char* name, const auto& shards) {
+    StageStats out;
+    out.stage = name;
+    out.workers = static_cast<int>(shards.size());
+    for (const auto& shard : shards) {
+      out.events += shard->events;
+      out.batches += shard->batches;
+      out.busy_micros += shard->busy_micros;
+    }
+    return out;
+  };
+  return {stage("user-history", user_shards_),
+          stage("count+sim", pair_shards_)};
 }
 
 uint64_t ParallelItemCf::StageHeartbeat(bool pair_stage) const {
-  uint64_t sum = 0;
-  if (pair_stage) {
-    for (const auto& shard : pair_shards_) {
-      sum += shard->heartbeat.load(std::memory_order_relaxed);
+  auto sum = [](const auto& shards) {
+    uint64_t total = 0;
+    for (const auto& shard : shards) {
+      total += shard->heartbeat.load(std::memory_order_relaxed);
     }
-  } else {
-    for (const auto& shard : user_shards_) {
-      sum += shard->heartbeat.load(std::memory_order_relaxed);
-    }
-  }
-  return sum;
+    return total;
+  };
+  return pair_stage ? sum(pair_shards_) : sum(user_shards_);
 }
 
 uint64_t ParallelItemCf::StageBacklog(bool pair_stage) const {
-  uint64_t sum = 0;
-  if (pair_stage) {
-    for (const auto& shard : pair_shards_) sum += shard->queue.size();
-  } else {
-    for (const auto& shard : user_shards_) sum += shard->queue.size();
-  }
-  return sum;
+  auto sum = [](const auto& shards) {
+    uint64_t total = 0;
+    for (const auto& shard : shards) total += shard->queue.size();
+    return total;
+  };
+  return pair_stage ? sum(pair_shards_) : sum(user_shards_);
 }
 
 }  // namespace tencentrec::core

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -17,6 +16,7 @@
 #include "common/queue.h"
 #include "common/topk.h"
 #include "core/itemcf/item_cf.h"
+#include "core/itemcf/layers.h"
 #include "core/itemcf/window_counts.h"
 #include "obs/freshness.h"
 
@@ -29,15 +29,15 @@ namespace tencentrec::core {
 ///   driver ──field-group by user──▶ N user-shard workers   (layer 1)
 ///          ──field-group by pair──▶ M pair-shard workers   (layers 2+3)
 ///
-/// Layer 1 (user history): each worker exclusively owns the histories of
-/// the users hashing to it, applies the max-weight rating rule and the
-/// linked-time co-rating deltas (Eq. 3–4), and forwards pair deltas.
-/// Layers 2+3 (count + similarity): each worker exclusively owns the
-/// windowed pairCount state of the pairs hashing to it (Eq. 6–8, 10),
-/// computes similarities, maintains top-K lists, and runs Hoeffding
-/// pruning (Eq. 9, Algorithm 1). itemCounts and per-item top-K lists are
-/// cross-shard by nature (a pair touches two items) and live in striped
-/// shared state guarded by per-stripe mutexes.
+/// It shards PracticalItemCf's layers (core/itemcf/layers.h) and adds only
+/// the execution around them. Layer 1 (user history): each worker
+/// exclusively owns a UserLayer with the histories of the users hashing to
+/// it and forwards its pair deltas. Layers 2+3 (count + similarity): each
+/// worker exclusively owns a PairLayer with the windowed pairCount state,
+/// n_ij and pruned set of the pairs hashing to it, and runs Algorithm 1.
+/// itemCounts and per-item top-K lists are cross-shard by nature (a pair
+/// touches two items) and form the pair layers' item side: kStripes
+/// stripes, each a WindowedCounts and a SimilarLists under its own mutex.
 ///
 /// Transport is the BoundedQueue from common/ (blocking push =
 /// backpressure); events travel in batches to amortize queue wakeups.
@@ -53,7 +53,7 @@ class ParallelItemCf {
  public:
   struct Options {
     /// Algorithm knobs, shared verbatim with the reference implementation.
-    PracticalItemCf::Options cf;
+    ItemCfOptions cf;
 
     /// Layer-1 workers (field-grouped by user id).
     int user_shards = 4;
@@ -63,9 +63,6 @@ class ParallelItemCf {
     size_t queue_capacity = 256;
     /// Events per batch; larger batches amortize queue synchronization.
     size_t batch_size = 128;
-    /// Stripes for the shared itemCount table / per-item top-K tables.
-    int count_stripes = 64;
-    int list_stripes = 64;
     /// Prefix for the executor's registry histograms
     /// ("<scope>.<stage>.queue_wait_us" / ".service_us"). Empty disables
     /// per-batch instrumentation for this instance even when the global
@@ -122,8 +119,8 @@ class ParallelItemCf {
   void VisitSimilarLists(
       const std::function<void(ItemId, const TopK<ItemId>&)>& visitor) const;
 
-  /// Aggregated algorithm counters (summed over shards).
-  PracticalItemCf::Stats stats() const;
+  /// Aggregated algorithm counters (summed over the shards' layers).
+  ItemCfStats stats() const;
   /// Per-stage executor counters ("user-history", "count+sim").
   std::vector<StageStats> stage_stats() const;
 
@@ -170,16 +167,15 @@ class ParallelItemCf {
     uint64_t ingest_watermark = 0;
   };
 
-  struct UserShard {
-    explicit UserShard(size_t queue_capacity) : queue(queue_capacity) {}
-    BoundedQueue<UserMsg> queue;
+  /// One worker of a stage. The layer is owned exclusively by the
+  /// worker's thread.
+  template <typename Msg, typename Layer>
+  struct Shard {
+    explicit Shard(const Options& options)
+        : queue(options.queue_capacity), layer(options.cf) {}
+    BoundedQueue<Msg> queue;
     std::thread thread;
-    /// Owned exclusively by this shard's worker thread: an open-addressing
-    /// index of packed user ids into 1-based slots of a stable-address
-    /// deque.
-    FlatMap64<uint32_t> history_index;
-    std::deque<UserHistory> history_store;
-    int64_t actions = 0;
+    Layer layer;
     uint64_t events = 0;
     uint64_t batches = 0;
     uint64_t busy_micros = 0;
@@ -189,48 +185,47 @@ class ParallelItemCf {
     /// Event-time watermark of this shard's stage (advanced per batch).
     obs::FreshnessTracker::ScopedSlot freshness;
   };
+  using UserShard = Shard<UserMsg, UserLayer>;
+  /// Its PairLayer's counts hold the pairCount side only; itemCounts live
+  /// in the stripes.
+  using PairShard = Shard<PairMsg, PairLayer>;
 
-  struct PairShard {
-    PairShard(size_t queue_capacity, EventTime session_length,
-              int window_sessions)
-        : queue(queue_capacity), counts(session_length, window_sessions) {}
-    BoundedQueue<PairMsg> queue;
-    std::thread thread;
-    /// Owned exclusively by this shard's worker thread (pairCount side
-    /// only; itemCounts live in the shared stripes).
+  /// One stripe of the shared item state: the itemCounts (written by layer
+  /// 1, read by layers 2+3) and similar lists (a pair update touches both
+  /// its items') of the items hashing to it, each under its own lock. The
+  /// locks are profiled (DESIGN.md §13), so wait time on them is attributed
+  /// per holder stage at /profile/contention.
+  struct alignas(64) Stripe {
+    explicit Stripe(const ItemCfOptions& cf)
+        : counts(cf.session_length, cf.window_sessions), lists(cf.top_k) {}
+    mutable ProfiledMutex count_mu{"parallel_cf.count_stripe"};
     WindowedCounts counts;
-    FlatMap64<uint32_t> observations;
-    FlatSet64 pruned;
-    int64_t pair_updates = 0;
-    int64_t pair_updates_pruned = 0;
-    int64_t pairs_pruned = 0;
-    uint64_t events = 0;
-    uint64_t batches = 0;
-    uint64_t busy_micros = 0;
-    std::atomic<uint64_t> heartbeat{0};
-    obs::FreshnessTracker::ScopedSlot freshness;
+    alignas(64) mutable ProfiledMutex list_mu{"parallel_cf.list_stripe"};
+    SimilarLists lists;
   };
 
-  /// Shared itemCount stripe: written by layer 1, read by layers 2+3.
-  struct alignas(64) CountStripe {
-    CountStripe(EventTime session_length, int window_sessions)
-        : counts(session_length, window_sessions) {}
-    /// Profiled (DESIGN.md §13): cross-stage lock — written by layer 1,
-    /// read by layers 2+3 — so wait time here is attributed per holder
-    /// stage at /profile/contention.
-    mutable ProfiledMutex mu{"parallel_cf.count_stripe"};
-    WindowedCounts counts;
+  /// The pair layers' item side (see PairLayer): every call takes one
+  /// stripe lock, one at a time, so no ordering discipline is needed.
+  /// `memo` is the worker's per-batch itemCount memo — cleared at every
+  /// batch boundary, so a similarity never reads counts staler than the
+  /// start of its own batch (within the racy-but-monotone snapshot
+  /// tolerance of the class comment, and never zero for a live pair: the
+  /// upstream AddItem happens-before the delta, so the first, uncached read
+  /// per batch already sees a positive count). One stripe lock per distinct
+  /// item per batch instead of two per delta.
+  struct StripedItems {
+    const ParallelItemCf* cf;
+    FlatMap64<double>* memo;
+
+    double ItemCount(ItemId item) const;
+    void Update(ItemId item, ItemId other, double sim) const;
+    double Threshold(ItemId item) const;
+    void Erase(ItemId item, ItemId other) const;
   };
 
-  /// Shared per-item top-K list stripe: a pair update touches the lists of
-  /// both its items, which generally live on different pair shards.
-  /// Packed-id index into 1-based slots of a stable-address deque
-  /// (SimilarItems hands out raw TopK pointers, so slots must never move).
-  struct alignas(64) ListStripe {
-    mutable ProfiledMutex mu{"parallel_cf.list_stripe"};
-    FlatMap64<uint32_t> index;
-    std::deque<TopK<ItemId>> store;
-  };
+  /// Stripes of the shared item state; a power of two, so an item's stripe
+  /// is `hash & (kStripes - 1)`.
+  static constexpr size_t kStripes = 64;
 
   /// "<metrics_scope or parallel_cf>.<stage>" — the registered stage name
   /// for a worker thread (profiler attribution + pthread name).
@@ -238,39 +233,14 @@ class ParallelItemCf {
 
   size_t UserShardOf(UserId user) const;
   size_t PairShardOf(const PairKey& key) const;
-  CountStripe& ItemStripe(ItemId item) const;
-  ListStripe& ListStripeOf(ItemId item) const;
+  Stripe& StripeOf(ItemId item) const;
 
   void UserWorker(UserShard* shard);
   void PairWorker(PairShard* shard);
   void HandleAction(UserShard* shard, const UserAction& action,
                     std::vector<std::vector<PairDelta>>* out);
-  /// `item_counts` is the worker's per-batch itemCount memo — cleared at
-  /// every batch boundary, so a similarity never reads counts staler than
-  /// the start of its own batch (within the racy-but-monotone snapshot
-  /// tolerance of the class comment, and never zero for a live pair: the
-  /// upstream AddItem happens-before the delta, so the first, uncached
-  /// read per batch already sees a positive count).
-  void HandlePairDelta(PairShard* shard, const PairDelta& delta,
-                       FlatMap64<double>* item_counts);
-
-  /// Slot-store accessors. The *Locked list accessors require the
-  /// stripe's mutex to be held by the caller.
-  UserHistory& HistoryFor(UserShard* shard, UserId user);
-  const UserHistory* FindHistory(const UserShard& shard, UserId user) const;
-  TopK<ItemId>& GetListLocked(ListStripe& stripe, ItemId item);
-  TopK<ItemId>* FindListLocked(const ListStripe& stripe, ItemId item) const;
 
   double ItemCountOf(ItemId item) const;
-  /// ItemCountOf through a per-batch memo (see PairWorker): one stripe
-  /// lock per distinct item per batch instead of two per delta.
-  double CachedItemCountOf(FlatMap64<double>* cache, ItemId item) const;
-  /// Eq. 5/10 + shrinkage from already-fetched windowed counts.
-  double EffectiveFrom(double count_a, double count_b,
-                       double pair_count) const;
-  double SimilarityFromCounts(ItemId a, ItemId b, double pair_count) const;
-  double EffectiveFromCounts(ItemId a, ItemId b, double pair_count) const;
-  double ListThresholdOf(ItemId item) const;
 
   void PushUserBatch(size_t shard_index);
   void BeginBarrier(int acks);
@@ -278,15 +248,12 @@ class ParallelItemCf {
   void AckBarrier();
 
   Options options_;
-  double hoeffding_ln_inv_delta_ = 0.0;
 
-  /// Routing masks for power-of-two shard/stripe counts (the defaults):
-  /// `hash & mask` instead of a hardware divide on every route. 0 = count
-  /// is not a power of two, fall back to modulo.
+  /// Routing masks for power-of-two shard counts (the defaults): `hash &
+  /// mask` instead of a hardware divide on every route. 0 = count is not a
+  /// power of two, fall back to modulo.
   size_t user_shard_mask_ = 0;
   size_t pair_shard_mask_ = 0;
-  size_t count_stripe_mask_ = 0;
-  size_t list_stripe_mask_ = 0;
 
   /// Registry histograms, resolved once in the constructor; all null when
   /// metrics are globally disabled or metrics_scope is empty, which reduces
@@ -298,8 +265,7 @@ class ParallelItemCf {
 
   std::vector<std::unique_ptr<UserShard>> user_shards_;
   std::vector<std::unique_ptr<PairShard>> pair_shards_;
-  std::vector<std::unique_ptr<CountStripe>> item_stripes_;
-  std::vector<std::unique_ptr<ListStripe>> list_stripes_;
+  std::vector<std::unique_ptr<Stripe>> stripes_;
 
   /// Driver-side per-user-shard input batches (driver thread only).
   std::vector<std::vector<UserAction>> pending_;

@@ -2,7 +2,6 @@
 #define TENCENTREC_CORE_ITEMCF_PREDICT_H_
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "common/arena.h"
@@ -77,16 +76,9 @@ Recommendations PredictFromRecent(const UserHistory& history,
       den += sim;
     }
     if (den <= 0.0) continue;
-    // Score = predicted rating, tilted by total similarity mass so that a
-    // candidate related to several recent items beats one related to a
-    // single item with the same predicted rating.
-    scored.push_back({p, (num / den) * (1.0 + std::log1p(den))});
+    scored.push_back({p, PredictedScore(num, den)});
   }
-  std::sort(scored.begin(), scored.end(),
-            [](const ScoredItem& a, const ScoredItem& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.item < b.item;  // deterministic ties
-            });
+  std::sort(scored.begin(), scored.end(), ByRank());
   const size_t take = std::min(n, scored.size());
   Recommendations out(scored.begin(), scored.begin() + take);
   return out;

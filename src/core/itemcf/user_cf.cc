@@ -99,13 +99,9 @@ Recommendations UserBasedCf::RecommendForUser(UserId user, size_t n,
   for (const auto& [item, num] : numerator) {
     const double den = denominator[item];
     if (den <= 0.0) continue;
-    scored.push_back({item, (num / den) * (1.0 + std::log1p(den))});
+    scored.push_back({item, PredictedScore(num, den)});
   }
-  std::sort(scored.begin(), scored.end(),
-            [](const ScoredItem& a, const ScoredItem& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.item < b.item;
-            });
+  std::sort(scored.begin(), scored.end(), ByRank());
   if (scored.size() > n) scored.resize(n);
   return scored;
 }

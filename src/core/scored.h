@@ -1,6 +1,7 @@
 #ifndef TENCENTREC_CORE_SCORED_H_
 #define TENCENTREC_CORE_SCORED_H_
 
+#include <cmath>
 #include <vector>
 
 #include "core/action.h"
@@ -17,6 +18,23 @@ struct ScoredItem {
 };
 
 using Recommendations = std::vector<ScoredItem>;
+
+/// The rank order of every scored list: score descending, then item
+/// ascending, so equal scores rank the same way on every run. A function
+/// object, so std::sort inlines it.
+struct ByRank {
+  bool operator()(const ScoredItem& a, const ScoredItem& b) const {
+    if (a.score != b.score) return a.score > b.score;
+    return a.item < b.item;
+  }
+};
+
+/// Eq. 2's predicted rating num/den (Σ sim·r over Σ sim), tilted by the
+/// similarity mass so that a candidate related to several of the user's
+/// items beats one related to a single item with the same prediction.
+inline double PredictedScore(double num, double den) {
+  return (num / den) * (1.0 + std::log1p(den));
+}
 
 }  // namespace tencentrec::core
 

@@ -85,11 +85,7 @@ core::Recommendations StreamingCfArm::RecommendForContext(
     if (score <= 0.0) continue;
     out.push_back({cand, score});
   }
-  std::sort(out.begin(), out.end(),
-            [](const core::ScoredItem& a, const core::ScoredItem& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.item < b.item;
-            });
+  std::sort(out.begin(), out.end(), core::ByRank());
   if (out.size() > n) out.resize(n);
   // DB complement for whatever the real-time sources could not fill (§4.2).
   if (out.size() < n) {
@@ -109,10 +105,7 @@ void PeriodicCfArm::MaybeRetrain(EventTime now) {
     popularity_snapshot_.push_back({item, count});
   }
   std::sort(popularity_snapshot_.begin(), popularity_snapshot_.end(),
-            [](const core::ScoredItem& a, const core::ScoredItem& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.item < b.item;
-            });
+            core::ByRank());
   if (popularity_snapshot_.size() > 200) popularity_snapshot_.resize(200);
   last_retrain_ = now;
 }

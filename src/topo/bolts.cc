@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "core/ctr.h"
+#include "core/itemcf/layers.h"
 #include "core/itemcf/window_counts.h"
 #include "core/rating.h"
 #include "topo/blob_codec.h"
@@ -22,21 +23,13 @@ bool UpsertScored(core::Recommendations* list, core::ItemId other,
     if (e.item == other) {
       if (e.score == score) return false;
       e.score = score;
-      std::sort(list->begin(), list->end(),
-                [](const core::ScoredItem& a, const core::ScoredItem& b) {
-                  if (a.score != b.score) return a.score > b.score;
-                  return a.item < b.item;
-                });
+      std::sort(list->begin(), list->end(), core::ByRank());
       return true;
     }
   }
   if (list->size() >= cap && score <= list->back().score) return false;
   list->push_back({other, score});
-  std::sort(list->begin(), list->end(),
-            [](const core::ScoredItem& a, const core::ScoredItem& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.item < b.item;
-            });
+  std::sort(list->begin(), list->end(), core::ByRank());
   if (list->size() > cap) list->resize(cap);
   return true;
 }
@@ -105,13 +98,12 @@ Status StoreBolt::FlushCombiner(Combiner* combiner) {
 }
 
 Result<double> StoreBolt::WindowSum(
-    const std::function<std::string(int64_t session)>& key_of, EventTime now,
-    bool use_cache) {
+    const std::function<std::string(int64_t session)>& key_of, EventTime now) {
   const int64_t last = app_->SessionOf(now);
   const int64_t first = app_->WindowStart(now);
   double sum = 0.0;
   for (int64_t s = first; s <= last; ++s) {
-    auto v = use_cache ? cache_->Get(key_of(s)) : client_->Get(key_of(s));
+    auto v = cache_->Get(key_of(s));
     if (v.ok()) {
       auto decoded = tdstore::DecodeDouble(*v);
       if (!decoded.ok()) return decoded.status();
@@ -246,9 +238,8 @@ void ItemCountBolt::Tick(tstorm::OutputCollector& out) {
 
 void CfPairBolt::Prepare(const tstorm::TaskContext& ctx) {
   StoreBolt::Prepare(ctx);
-  double delta = options().hoeffding_delta;
-  if (delta <= 0.0 || delta >= 1.0) delta = 0.05;
-  hoeffding_ln_inv_delta_ = std::log(1.0 / delta);
+  hoeffding_ln_inv_delta_ =
+      core::HoeffdingLnInvDelta(options().hoeffding_delta);
 }
 
 void CfPairBolt::Execute(const tstorm::Tuple& input,
@@ -300,9 +291,8 @@ void CfPairBolt::Execute(const tstorm::Tuple& input,
   // ItemCountBolt and must be read fresh: both items' sessions, and with
   // pruning both admission thresholds, in one grouped read — one store call
   // per distinct host instead of a point read per session per item.
-  auto pc_sum = WindowSum(
-      [&](int64_t s) { return keys().PairCount(s, lo, hi); }, ts,
-      /*use_cache=*/true);
+  auto pc_sum =
+      WindowSum([&](int64_t s) { return keys().PairCount(s, lo, hi); }, ts);
   const int64_t first = app_->WindowStart(ts);
   const size_t sessions = static_cast<size_t>(app_->SessionOf(ts) - first + 1);
   std::vector<std::string> reads;
@@ -358,9 +348,7 @@ void CfPairBolt::Execute(const tstorm::Tuple& input,
   if (!t_lo.ok() || !t_hi.ok()) return;
   const double t = std::min(*t_lo, *t_hi);
   if (t <= 0.0) return;
-  const double epsilon = std::sqrt(hoeffding_ln_inv_delta_ /
-                                   (2.0 * static_cast<double>(*n)));
-  if (epsilon < t - sim) {
+  if (core::HoeffdingPrunes(hoeffding_ln_inv_delta_, *n, t, sim)) {
     Status s = cache_->Put(keys().Pruned(lo, hi), "1");
     if (!s.ok()) return;
     ++prune_decisions_;
@@ -484,13 +472,23 @@ void HotListBolt::Execute(const tstorm::Tuple& input,
 
   // Windowed popularity of the touched item (window end = the latest event
   // time this bolt has seen), then upsert into the group's hot list blob.
-  // Group counters are written by GroupCountBolt — never cache them here.
-  auto pop = WindowSum(
-      [&](int64_t s) {
-        return keys().GroupHot(static_cast<core::GroupId>(group), s, item);
-      },
-      latest_ts_, /*use_cache=*/false);
-  if (!pop.ok()) return;
+  // Group counters are written by GroupCountBolt — never cache them here:
+  // the window's sessions come in one grouped read, one store call per host,
+  // summed in session order as WindowSum does (an absent session adds +0.0,
+  // which leaves a sum unchanged).
+  std::vector<std::string> reads;
+  for (int64_t s = app_->WindowStart(latest_ts_);
+       s <= app_->SessionOf(latest_ts_); ++s) {
+    reads.push_back(
+        keys().GroupHot(static_cast<core::GroupId>(group), s, item));
+  }
+  std::vector<Result<double>> read;
+  if (!client_->MultiGetDouble(reads, 0.0, &read).ok()) return;
+  double pop = 0.0;
+  for (const Result<double>& r : read) {
+    if (!r.ok()) return;
+    pop += *r;
+  }
 
   const std::string key = keys().HotList(static_cast<core::GroupId>(group));
   core::Recommendations list;
@@ -501,7 +499,7 @@ void HotListBolt::Execute(const tstorm::Tuple& input,
   } else if (!blob.status().IsNotFound()) {
     return;
   }
-  if (!UpsertScored(&list, item, *pop,
+  if (!UpsertScored(&list, item, pop,
                     static_cast<size_t>(options().hot_list_size))) {
     return;
   }

@@ -50,16 +50,17 @@ class StoreBolt : public tstorm::IBolt {
   Status FlushCombiner(Combiner* combiner);
 
   /// Sliding-window sum of a per-session double counter (Eq. 10 read side):
-  /// sums `key_of(session)` over the window ending at the session of `now`.
+  /// sums `key_of(session)` over the window ending at the session of `now`,
+  /// read through this worker's cache.
   ///
-  /// `use_cache` must be false for counters OWNED BY A DIFFERENT BOLT: the
-  /// fine-grained cache is only valid for keys this worker writes (§5.2 —
-  /// stream grouping guarantees single-writer, which is what makes cached
-  /// values trustworthy); caching another bolt's counter would pin its
-  /// first-seen value forever.
+  /// Only for counters this worker writes: the fine-grained cache is valid
+  /// for those alone (§5.2 — stream grouping guarantees single-writer,
+  /// which is what makes cached values trustworthy); caching another bolt's
+  /// counter would pin its first-seen value forever. Read those with one
+  /// grouped Client::MultiGetDouble instead.
   Result<double> WindowSum(
       const std::function<std::string(int64_t session)>& key_of,
-      EventTime now, bool use_cache);
+      EventTime now);
 
   /// Records `now - ingest_micros` against this component's event-to-store
   /// histogram ("topo.<app>.<component>.event_to_store_us") and advances

@@ -275,13 +275,9 @@ Result<core::Recommendations> StoreQuery::RecommendCf(core::UserId user,
       continue;
     }
     if (den <= 0.0) continue;
-    scored.push_back({p, (num / den) * (1.0 + std::log1p(den))});
+    scored.push_back({p, core::PredictedScore(num, den)});
   }
-  std::sort(scored.begin(), scored.end(),
-            [](const core::ScoredItem& a, const core::ScoredItem& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.item < b.item;
-            });
+  std::sort(scored.begin(), scored.end(), core::ByRank());
   if (scored.size() > n) scored.resize(n);
   return scored;
 }
@@ -434,11 +430,7 @@ Result<core::Recommendations> StoreQuery::RecommendCb(core::UserId user,
     if (norm <= 0.0 || dot <= 0.0) continue;
     scored.push_back({item, dot / (profile_norm * norm)});
   }
-  std::sort(scored.begin(), scored.end(),
-            [](const core::ScoredItem& a, const core::ScoredItem& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.item < b.item;
-            });
+  std::sort(scored.begin(), scored.end(), core::ByRank());
   if (scored.size() > n) scored.resize(n);
   return scored;
 }
@@ -486,11 +478,7 @@ Result<core::Recommendations> StoreQuery::RecommendAr(core::ItemId from,
     if (conf < min_confidence) continue;
     scored.push_back({(*list)[i].item, conf});
   }
-  std::sort(scored.begin(), scored.end(),
-            [](const core::ScoredItem& a, const core::ScoredItem& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.item < b.item;
-            });
+  std::sort(scored.begin(), scored.end(), core::ByRank());
   if (scored.size() > n) scored.resize(n);
   return scored;
 }

@@ -53,8 +53,6 @@ ParallelItemCf::Options ParityOptions(int num_items) {
   // backpressure, not just one giant flush.
   options.batch_size = 7;
   options.queue_capacity = 4;
-  options.count_stripes = 8;
-  options.list_stripes = 8;
   return options;
 }
 
@@ -236,8 +234,6 @@ TEST(ParallelItemCfTest, PruningConcurrencySmoke) {
   options.pair_shards = 4;
   options.batch_size = 4;
   options.queue_capacity = 2;
-  options.count_stripes = 4;
-  options.list_stripes = 4;
 
   ParallelItemCf parallel(options);
   const auto actions = RandomActions(41, 4000, 30, 25);
@@ -252,6 +248,65 @@ TEST(ParallelItemCfTest, PruningConcurrencySmoke) {
       EXPECT_GE(sim, 0.0);
       EXPECT_LE(sim, 1.0 + 1e-9);
     }
+  }
+}
+
+TEST(ParallelItemCfTest, PruningParityOneActionInFlight) {
+  // With one action in flight and one pair shard, the action's rating delta
+  // reaches its count stripe before its pair deltas are emitted, and those
+  // reach the pair shard in emission order: the executor runs the serial
+  // kernel's sequence of Algorithm 1 steps. So even with pruning on and
+  // lists that overflow, the drained state must equal the reference bit for
+  // bit. Cumulative counts only: between drains the executor defers window
+  // eviction, so a windowed stream differs at session boundaries.
+  const int kUsers = 30, kItems = 25;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ParallelItemCf::Options options;
+    options.cf.linked_time = Days(30);
+    options.cf.window_sessions = 0;
+    options.cf.enable_pruning = true;
+    options.cf.hoeffding_delta = 0.5;
+    options.cf.top_k = 2 + static_cast<int>(seed % 2);
+    options.cf.support_shrinkage = seed <= 2 ? 0.0 : 2.0;
+    options.user_shards = 3;
+    options.pair_shards = 1;
+    options.batch_size = 4;
+    options.queue_capacity = 2;
+    ParallelItemCf parallel(options);
+    PracticalItemCf reference(options.cf);
+    for (const auto& action : RandomActions(seed, 1000, kUsers, kItems)) {
+      reference.ProcessAction(action);
+      parallel.ProcessAction(action);
+      parallel.Drain();
+    }
+
+    for (ItemId a = 1; a <= kItems; ++a) {
+      for (ItemId b = a + 1; b <= kItems; ++b) {
+        EXPECT_EQ(parallel.Similarity(a, b), reference.Similarity(a, b))
+            << "pair (" << a << ", " << b << ")";
+        EXPECT_EQ(parallel.IsPruned(a, b), reference.IsPruned(a, b))
+            << "pair (" << a << ", " << b << ")";
+      }
+      const TopK<ItemId>* got = parallel.SimilarItems(a);
+      const TopK<ItemId>* want = reference.SimilarItems(a);
+      ASSERT_EQ(got == nullptr, want == nullptr) << "item " << a;
+      if (want != nullptr) {
+        EXPECT_EQ(got->entries(), want->entries()) << "item " << a;
+      }
+    }
+    for (UserId u = 1; u <= kUsers; ++u) {
+      EXPECT_EQ(parallel.RecommendForUser(u, 5),
+                reference.RecommendForUser(u, 5))
+          << "user " << u;
+    }
+    const auto got = parallel.stats();
+    const auto want = reference.stats();
+    EXPECT_GT(want.pairs_pruned, 0);
+    EXPECT_EQ(got.actions, want.actions);
+    EXPECT_EQ(got.pair_updates, want.pair_updates);
+    EXPECT_EQ(got.pair_updates_pruned, want.pair_updates_pruned);
+    EXPECT_EQ(got.pairs_pruned, want.pairs_pruned);
   }
 }
 

@@ -535,6 +535,70 @@ TEST(CfPairBoltTest, PairTouchReadsCountsAndThresholdsOncePerHost) {
   bolt.Cleanup();
 }
 
+TEST(HotListBoltTest, HotTouchReadsThePopularityWindowOncePerHost) {
+  // A hot touch reads the item's windowed group popularity in one grouped
+  // read: at most one store call per data server, however many sessions the
+  // window holds. A point read per session costs one call per session, and
+  // four sessions over three servers put two on some server.
+  tdstore::Cluster::Options store_options;
+  store_options.num_data_servers = 3;
+  store_options.num_instances = 12;
+  auto cluster = tdstore::Cluster::Create(store_options);
+  ASSERT_TRUE(cluster.ok());
+  AppOptions options;
+  options.app = "hot";
+  options.session_length = Hours(1);
+  options.window_sessions = 4;
+  AppContext app(cluster->get(), options);
+  constexpr core::GroupId kGroup = 2;
+  constexpr ItemId kItem = 7;
+  const EventTime ts = Hours(10) + Minutes(5);
+  const tdstore::RouteTable route =
+      (*cluster)->config().GetRouteTable().value();
+  tdstore::Client seed(cluster->get());
+  std::set<int> read_hosts;
+  double popularity = 0.0;
+  double count = 0.5;
+  for (int64_t s = app.WindowStart(ts); s <= app.SessionOf(ts); ++s) {
+    const std::string key = app.keys.GroupHot(kGroup, s, kItem);
+    read_hosts.insert(route.PlacementOf(key).host_server);
+    if (s == app.WindowStart(ts) + 1) continue;  // absent: adds +0.0
+    ASSERT_TRUE(seed.PutDouble(key, count).ok());
+    popularity += count;
+    count += 1.0;
+  }
+  ASSERT_GE(read_hosts.size(), 2u);  // the read really fans out
+
+  HotListBolt bolt(&app);
+  tstorm::TaskContext ctx;
+  ctx.component_name = "hot_list";
+  bolt.Prepare(ctx);
+  RecordingCollector out;
+  const tstorm::Tuple touch = tstorm::Tuple::Of(
+      {int64_t{kGroup}, kItem, int64_t{ts}, int64_t{0}, int64_t{0}});
+  // The first touch warms the cache with the group's hot list; the second
+  // costs only the grouped popularity read.
+  bolt.Execute(touch, {}, out);
+  for (int s = 0; s < 3; ++s) (*cluster)->data_server(s)->ResetCounters();
+  bolt.Execute(touch, {}, out);
+
+  int64_t total = 0;
+  for (int s = 0; s < 3; ++s) {
+    const int64_t calls = (*cluster)->data_server(s)->invocations();
+    total += calls;
+    EXPECT_LE(calls, 1) << "server " << s;
+  }
+  EXPECT_EQ(total, static_cast<int64_t>(read_hosts.size()));
+  bolt.Cleanup();
+  auto blob = seed.Get(app.keys.HotList(kGroup));
+  ASSERT_TRUE(blob.ok());
+  auto list = DecodeScoredList(*blob);
+  ASSERT_TRUE(list.ok());
+  ASSERT_EQ(list->size(), 1u);
+  EXPECT_EQ((*list)[0].item, kItem);
+  EXPECT_EQ((*list)[0].score, popularity);
+}
+
 TEST(CfPairBoltTest, WindowedScoreAboveOneMatchesTheKernel) {
   // A sliding window bounds nothing: the co-rating lands in the session of
   // the later action, while the earlier item's rating delta stays in its
