@@ -15,9 +15,9 @@
 #      and SoA TopK of DESIGN.md §15, the planned-read query path of §11,
 #      the store's run loop, WAL and replication of §10/§14 — `store`
 #      includes durable_test — the byte-string table under the MDB/RDB/FDB
-#      engines, BatchWriter and Combiner of §16, in flat_table_test, and the
-#      bolts' write path of §10: Combiner, StoreCache and BatchWriter, in
-#      topo_test and parity_test);
+#      engines and the Combiner of §16, in flat_table_test, and the bolts'
+#      write path of §10: the Combiner and the write-behind StoreCache, in
+#      topo_test, parity_test and query_batch_test);
 #   5. a ThreadSanitizer build running the `concurrent` and `topo` labels
 #      (sharded executor, striped histogram/tracer, batch clients,
 #      single-flight, MDB readers against a writer on the §16 table, the

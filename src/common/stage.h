@@ -15,8 +15,9 @@ namespace tencentrec {
 /// continuous profiling plane (DESIGN.md §13) and for external tools.
 ///
 /// Every worker thread the system spawns (ParallelItemCf user/pair shards,
-/// tstorm spouts and bolts, the combiner-bearing store bolts, BatchWriter
-/// flush owners, the monitor/watchdog/sampler/admin threads) calls
+/// tstorm spouts and bolts — whose store bolts flush their combiners and
+/// write-behind caches on their own threads — the monitor/watchdog/sampler/
+/// admin threads) calls
 /// RegisterStageThread("<stage>") as its first act. That one call:
 ///
 ///   1. interns the stage name and publishes it in a thread-local slot the

@@ -129,13 +129,6 @@ class StableRows {
 
   void Prefetch(uint64_t key) const { index_.Prefetch(key); }
 
-  /// Visits (key, row) in index order.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    index_.ForEach(
-        [&](uint64_t key, uint32_t slot) { fn(key, rows_[slot - 1]); });
-  }
-
  private:
   FlatMap64<uint32_t> index_;
   std::deque<Row> rows_;
@@ -236,14 +229,6 @@ class SimilarLists {
     return lists_.Find(PackItem(item));
   }
   void Prefetch(ItemId item) const { lists_.Prefetch(PackItem(item)); }
-
-  /// Visits (item, list) in index order.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    lists_.ForEach([&](uint64_t key, const TopK<ItemId>& list) {
-      fn(static_cast<ItemId>(key), list);
-    });
-  }
 
  private:
   size_t top_k_;

@@ -397,22 +397,6 @@ bool ParallelItemCf::IsPruned(ItemId a, ItemId b) const {
   return pair_shards_[PairShardOf(PairKey(a, b))]->layer.IsPruned(a, b);
 }
 
-void ParallelItemCf::VisitItemCounts(
-    const std::function<void(ItemId, double)>& visitor) const {
-  for (const auto& stripe : stripes_) {
-    std::lock_guard lock(stripe->count_mu);
-    stripe->counts.VisitItemCounts(visitor);
-  }
-}
-
-void ParallelItemCf::VisitSimilarLists(
-    const std::function<void(ItemId, const TopK<ItemId>&)>& visitor) const {
-  for (const auto& stripe : stripes_) {
-    std::lock_guard lock(stripe->list_mu);
-    stripe->lists.ForEach(visitor);
-  }
-}
-
 ItemCfStats ParallelItemCf::stats() const {
   ItemCfStats stats;
   for (const auto& shard : user_shards_) stats += shard->layer.stats();

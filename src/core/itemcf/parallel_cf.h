@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -109,15 +108,6 @@ class ParallelItemCf {
   std::vector<ItemId> RecentItemsOf(UserId user) const;
   double UserRating(UserId user, ItemId item) const;
   bool IsPruned(ItemId a, ItemId b) const;
-
-  /// Walks every tracked item's windowed count total / similar-items top-K
-  /// list, e.g. to checkpoint mirror state into TDStore through a
-  /// BatchWriter. Requires quiescence (a preceding Drain()); stripe locks
-  /// are still taken, so a concurrent reader can't corrupt the walk.
-  void VisitItemCounts(
-      const std::function<void(ItemId, double)>& visitor) const;
-  void VisitSimilarLists(
-      const std::function<void(ItemId, const TopK<ItemId>&)>& visitor) const;
 
   /// Aggregated algorithm counters (summed over the shards' layers).
   ItemCfStats stats() const;

@@ -109,18 +109,6 @@ size_t WindowedCounts::TrackedItems() const {
   return seen.size();
 }
 
-void WindowedCounts::VisitItemCounts(
-    const std::function<void(ItemId, double)>& visitor) const {
-  FlatMap64<double> totals;
-  for (const auto& s : sessions_) {
-    s.items_flat.ForEach(
-        [&totals](uint64_t key, double c) { totals[key] += c; });
-  }
-  totals.ForEach([&visitor](uint64_t key, double total) {
-    visitor(static_cast<ItemId>(key), total);
-  });
-}
-
 size_t WindowedCounts::TrackedPairs() const {
   FlatSet64 seen;
   for (const auto& s : sessions_) {

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <deque>
-#include <functional>
 
 #include "common/clock.h"
 #include "common/flat_map.h"
@@ -102,12 +101,6 @@ class WindowedCounts {
   /// Distinct items/pairs currently tracked (across live sessions).
   size_t TrackedItems() const;
   size_t TrackedPairs() const;
-
-  /// Visits every tracked item with its windowed total (Σ over live
-  /// sessions) — the read side of checkpoint/mirror exports. Order is
-  /// unspecified.
-  void VisitItemCounts(
-      const std::function<void(ItemId, double)>& visitor) const;
 
  private:
   struct Session {

@@ -1,8 +1,6 @@
 #include "tdstore/client.h"
 
 #include <algorithm>
-#include <map>
-#include <numeric>
 
 #include "common/trace.h"
 
@@ -119,55 +117,63 @@ Status Client::GroupedDispatch(size_t n, KeyOf key_of, MakeItem make_item,
   TR_RETURN_IF_ERROR(EnsureRoute());
   if (batch_ops_ != nullptr) batch_ops_->Add();
   if (batch_keys_ != nullptr) batch_keys_->Add(n);
-  std::vector<size_t> pending(n);
-  std::iota(pending.begin(), pending.end(), 0);
-  for (int attempt = 0; attempt < 2 && !pending.empty(); ++attempt) {
+  // Each still-pending input with its current placement. Sorted by (host,
+  // instance, input index): a host's share is one contiguous run, its
+  // same-instance runs stay contiguous for the server's one-lock-per-run
+  // processing, and same-key ops keep their input order (the bit-identical
+  // increment guarantee rides on this).
+  struct Routed {
+    uint64_t placement = 0;  // host in the high half, instance in the low
+    size_t index = 0;
+    int host() const { return static_cast<int>(placement >> 32); }
+    int instance() const { return static_cast<int>(placement & 0xffffffffu); }
+  };
+  std::vector<Routed> routed(n);
+  for (size_t i = 0; i < n; ++i) routed[i].index = i;
+  using Item = decltype(make_item(size_t{0}, 0));
+  std::vector<Item> items;  // one host's call, reused across hosts
+  items.reserve(n);
+  std::vector<OutT> batch_out;
+  for (int attempt = 0; attempt < 2 && !routed.empty(); ++attempt) {
     if (attempt > 0) TR_RETURN_IF_ERROR(RefreshRoute());
-    // Group the still-pending inputs by current host. Within a host, items
-    // are ordered by (instance_id, input index): same-instance runs stay
-    // contiguous for the server's one-lock-per-run processing, and the
-    // stable sort keeps same-key ops in input order (the bit-identical
-    // increment guarantee rides on this).
-    std::map<int, std::vector<std::pair<int, size_t>>> by_host;
-    for (size_t idx : pending) {
-      const InstancePlacement& p = route_.PlacementOf(key_of(idx));
-      by_host[p.host_server].emplace_back(p.instance_id, idx);
+    for (Routed& r : routed) {
+      const InstancePlacement& p = route_.PlacementOf(key_of(r.index));
+      const uint64_t host = static_cast<uint32_t>(p.host_server);
+      r.placement = host << 32 | static_cast<uint32_t>(p.instance_id);
     }
-    std::vector<size_t> failed;
-    for (auto& [host_id, entries] : by_host) {
-      std::stable_sort(
-          entries.begin(), entries.end(),
-          [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::sort(routed.begin(), routed.end(),
+              [](const Routed& a, const Routed& b) {
+                return a.placement != b.placement ? a.placement < b.placement
+                                                  : a.index < b.index;
+              });
+    // Inputs to retry are compacted to the front of `routed` as they go.
+    size_t retry = 0;
+    for (size_t begin = 0, end = 0; begin < routed.size(); begin = end) {
+      const int host_id = routed[begin].host();
+      while (end < routed.size() && routed[end].host() == host_id) ++end;
       DataServer* host = cluster_->data_server(host_id);
       if (host == nullptr) return Status::Internal("route names bad server");
-      using Item = decltype(make_item(size_t{0}, 0));
-      std::vector<Item> items;
-      items.reserve(entries.size());
-      for (const auto& [instance_id, idx] : entries) {
-        items.push_back(make_item(idx, instance_id));
+      items.clear();
+      for (size_t k = begin; k < end; ++k) {
+        items.push_back(make_item(routed[k].index, routed[k].instance()));
       }
       if (host_batches_ != nullptr) host_batches_->Add();
-      std::vector<OutT> batch_out;
       Status s = dispatch(host, items, &batch_out);
-      if (!s.ok()) {
-        // Whole-server failure (down): every item of this sub-batch gets the
-        // verdict, and — if retryable — a spot in the next attempt.
-        for (const auto& [instance_id, idx] : entries) {
+      for (size_t k = begin; k < end; ++k) {
+        const size_t idx = routed[k].index;
+        if (s.ok()) {
+          (*out)[idx] = std::move(batch_out[k - begin]);
+        } else {
+          // A whole-server failure (down): every item of this sub-batch
+          // gets the verdict.
           (*out)[idx] = OutT(s);
-          if (s.IsUnavailable() && attempt == 0) failed.push_back(idx);
         }
-        continue;
-      }
-      for (size_t i = 0; i < entries.size(); ++i) {
-        const size_t idx = entries[i].second;
-        (*out)[idx] = std::move(batch_out[i]);
-        if (StatusOf((*out)[idx]).IsUnavailable() && attempt == 0) {
-          failed.push_back(idx);
+        if (attempt == 0 && StatusOf((*out)[idx]).IsUnavailable()) {
+          routed[retry++] = routed[k];
         }
       }
     }
-    std::sort(failed.begin(), failed.end());
-    pending = std::move(failed);
+    routed.resize(retry);
   }
   // Final per-key verdicts feed the error-rate instruments once, after
   // retries have had their say.

@@ -206,8 +206,9 @@ class DataServer {
     std::deque<std::vector<WalOp>> pending;
     /// Serializes read-modify-write (Incr) and the replication queue.
     /// Profiled (DESIGN.md §13): each Multi* batch holds it for the whole
-    /// run, so this is where write-side lock time concentrates — the
-    /// BatchWriter itself is single-owner and lock-free by contract.
+    /// run, so this is where write-side lock time concentrates — a bolt's
+    /// write-behind StoreCache itself is single-owner and lock-free by
+    /// contract.
     mutable ProfiledMutex mu{"tdstore.instance"};
   };
 

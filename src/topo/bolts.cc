@@ -10,6 +10,7 @@
 #include "core/rating.h"
 #include "topo/blob_codec.h"
 #include "topo/query.h"
+#include "topo/window_plan.h"
 
 namespace tencentrec::topo {
 
@@ -39,14 +40,11 @@ bool UpsertScored(core::Recommendations* list, core::ItemId other,
 void StoreBolt::Prepare(const tstorm::TaskContext& ctx) {
   ctx_ = ctx;
   client_ = std::make_unique<tdstore::Client>(app_->store);
-  // Write-behind: every cache write stages on the writer instead of issuing
+  // Write-behind: every cache write stages in the cache instead of issuing
   // a point store op per key. Cleanup() ships whatever the auto-flush
   // threshold left staged.
-  writer_ = std::make_unique<tdstore::BatchWriter>(
-      client_.get(), tdstore::BatchWriter::Options());
-  cache_ = std::make_unique<StoreCache>(client_.get(), writer_.get(),
-                                        app_->options.cache_capacity,
-                                        app_->options.enable_cache);
+  cache_ = std::make_unique<StoreCache>(client_.get(),
+                                        app_->options.cache_capacity);
   // Resolve the event-to-store histogram once; a null pointer makes every
   // RecordEventToStore a branch-and-return with no clock read.
   e2s_ = MetricsEnabled()
@@ -61,11 +59,11 @@ void StoreBolt::Prepare(const tstorm::TaskContext& ctx) {
 }
 
 void StoreBolt::Cleanup() {
-  (void)writer_->Flush();  // a failure lands in last_error()
-  if (!writer_->last_error().ok()) {
+  (void)cache_->Flush();  // a failure lands in last_error()
+  if (!cache_->last_error().ok()) {
     TR_LOG(kError, "%s: write-behind flush failed: %s", span_name_.c_str(),
-           writer_->last_error().ToString().c_str());
-    writer_->ClearError();
+           cache_->last_error().ToString().c_str());
+    cache_->ClearError();
   }
 }
 
@@ -99,20 +97,12 @@ Status StoreBolt::FlushCombiner(Combiner* combiner) {
 
 Result<double> StoreBolt::WindowSum(
     const std::function<std::string(int64_t session)>& key_of, EventTime now) {
-  const int64_t last = app_->SessionOf(now);
-  const int64_t first = app_->WindowStart(now);
-  double sum = 0.0;
-  for (int64_t s = first; s <= last; ++s) {
-    auto v = cache_->Get(key_of(s));
-    if (v.ok()) {
-      auto decoded = tdstore::DecodeDouble(*v);
-      if (!decoded.ok()) return decoded.status();
-      sum += *decoded;
-    } else if (!v.status().IsNotFound()) {
-      return v.status();
-    }
-  }
-  return sum;
+  WindowPlan plan(app_, now);
+  const WindowPlan::Range range = plan.Add(key_of);
+  std::vector<Result<std::string>> vals;
+  vals.reserve(plan.keys.size());
+  for (const std::string& key : plan.keys) vals.push_back(cache_->Get(key));
+  return WindowPlan::SumOf(vals, range);
 }
 
 // --- PretreatmentBolt -------------------------------------------------------
@@ -193,11 +183,7 @@ void UserHistoryBolt::Execute(const tstorm::Tuple& input,
 
   core::RatingUpdate update =
       history.Apply(*action, options().weights, options().linked_time);
-  Status put = cache_->Put(key, EncodeUserHistory(history));
-  if (!put.ok()) {
-    TR_LOG(kError, "user history write failed: %s", put.ToString().c_str());
-    return;
-  }
+  cache_->Put(key, EncodeUserHistory(history));
   RecordEventToStore(action->ingest_micros, action->trace_id);
 
   if (update.rating_delta > 0.0) {
@@ -293,37 +279,31 @@ void CfPairBolt::Execute(const tstorm::Tuple& input,
   // per distinct host instead of a point read per session per item.
   auto pc_sum =
       WindowSum([&](int64_t s) { return keys().PairCount(s, lo, hi); }, ts);
-  const int64_t first = app_->WindowStart(ts);
-  const size_t sessions = static_cast<size_t>(app_->SessionOf(ts) - first + 1);
-  std::vector<std::string> reads;
-  reads.reserve(2 * sessions + 2);
-  for (core::ItemId item : {lo, hi}) {
-    for (size_t s = 0; s < sessions; ++s) {
-      reads.push_back(keys().ItemCount(first + static_cast<int64_t>(s), item));
-    }
-  }
+  WindowPlan plan(app_, ts);
+  const auto lo_range =
+      plan.Add([&](int64_t s) { return keys().ItemCount(s, lo); });
+  const auto hi_range =
+      plan.Add([&](int64_t s) { return keys().ItemCount(s, hi); });
+  WindowPlan::Range t_lo_range;
+  WindowPlan::Range t_hi_range;
   if (options().enable_pruning) {
-    reads.push_back(keys().SimilarThreshold(lo));
-    reads.push_back(keys().SimilarThreshold(hi));
+    t_lo_range = plan.AddKey(keys().SimilarThreshold(lo));
+    t_hi_range = plan.AddKey(keys().SimilarThreshold(hi));
   }
-  std::vector<Result<double>> read;
-  bool read_ok = pc_sum.ok() && client_->MultiGetDouble(reads, 0.0, &read).ok();
-  // Summed in session order, as WindowSum does, so Eq. 5 is bit-identical
-  // (an absent session adds +0.0, which leaves a sum unchanged).
-  double ic_lo = 0.0;
-  double ic_hi = 0.0;
-  for (size_t s = 0; read_ok && s < sessions; ++s) {
-    read_ok = read[s].ok() && read[sessions + s].ok();
-    if (read_ok) {
-      ic_lo += *read[s];
-      ic_hi += *read[sessions + s];
-    }
+  std::vector<Result<std::string>> read;
+  Result<double> ic_lo = 0.0;
+  Result<double> ic_hi = 0.0;
+  bool read_ok = pc_sum.ok() && client_->MultiGetBatch(plan.keys, &read).ok();
+  if (read_ok) {
+    ic_lo = WindowPlan::SumOf(read, lo_range);
+    ic_hi = WindowPlan::SumOf(read, hi_range);
+    read_ok = ic_lo.ok() && ic_hi.ok();
   }
   if (!read_ok) {
     TR_LOG(kError, "window sum read failed");
     return;
   }
-  const double sim = core::ItemSimilarity(*pc_sum, ic_lo, ic_hi);
+  const double sim = core::ItemSimilarity(*pc_sum, *ic_lo, *ic_hi);
   // Over consistent cumulative counts pairCount <= either itemCount, so
   // Eq. 5 stays <= 1 and a score above 1 means the itemCounts lag their
   // combiner. Such a score would enter the similar list and raise its
@@ -343,14 +323,14 @@ void CfPairBolt::Execute(const tstorm::Tuple& input,
   // Algorithm 1 lines 9–17.
   auto n = client_->IncrInt64(keys().PairObservations(lo, hi), 1);
   if (!n.ok()) return;
-  const Result<double>& t_lo = read[2 * sessions];
-  const Result<double>& t_hi = read[2 * sessions + 1];
+  // An absent threshold reads as 0: the list is not full yet.
+  const Result<double> t_lo = WindowPlan::SumOf(read, t_lo_range);
+  const Result<double> t_hi = WindowPlan::SumOf(read, t_hi_range);
   if (!t_lo.ok() || !t_hi.ok()) return;
   const double t = std::min(*t_lo, *t_hi);
   if (t <= 0.0) return;
   if (core::HoeffdingPrunes(hoeffding_ln_inv_delta_, *n, t, sim)) {
-    Status s = cache_->Put(keys().Pruned(lo, hi), "1");
-    if (!s.ok()) return;
+    cache_->Put(keys().Pruned(lo, hi), "1");
     ++prune_decisions_;
     out.EmitTo(1, tstorm::Tuple::Of({lo, hi}));
     out.EmitTo(1, tstorm::Tuple::Of({hi, lo}));
@@ -400,11 +380,7 @@ void SimilarListBolt::Execute(const tstorm::Tuple& input,
     return;
   }
 
-  Status s = cache_->Put(key, EncodeScoredList(list));
-  if (!s.ok()) {
-    TR_LOG(kError, "similar list write failed: %s", s.ToString().c_str());
-    return;
-  }
+  cache_->Put(key, EncodeScoredList(list));
   if (!is_prune) {
     RecordEventToStore(static_cast<uint64_t>(input.GetInt(3)),
                        static_cast<uint64_t>(input.GetInt(4)));
@@ -414,11 +390,7 @@ void SimilarListBolt::Execute(const tstorm::Tuple& input,
   const double threshold =
       list.size() >= static_cast<size_t>(options().top_k) ? list.back().score
                                                           : 0.0;
-  s = cache_->Put(keys().SimilarThreshold(item),
-                  tdstore::EncodeDouble(threshold));
-  if (!s.ok()) {
-    TR_LOG(kError, "threshold write failed: %s", s.ToString().c_str());
-  }
+  cache_->Put(keys().SimilarThreshold(item), tdstore::EncodeDouble(threshold));
 }
 
 // --- GroupCountBolt ---------------------------------------------------------
@@ -473,22 +445,15 @@ void HotListBolt::Execute(const tstorm::Tuple& input,
   // Windowed popularity of the touched item (window end = the latest event
   // time this bolt has seen), then upsert into the group's hot list blob.
   // Group counters are written by GroupCountBolt — never cache them here:
-  // the window's sessions come in one grouped read, one store call per host,
-  // summed in session order as WindowSum does (an absent session adds +0.0,
-  // which leaves a sum unchanged).
-  std::vector<std::string> reads;
-  for (int64_t s = app_->WindowStart(latest_ts_);
-       s <= app_->SessionOf(latest_ts_); ++s) {
-    reads.push_back(
-        keys().GroupHot(static_cast<core::GroupId>(group), s, item));
-  }
-  std::vector<Result<double>> read;
-  if (!client_->MultiGetDouble(reads, 0.0, &read).ok()) return;
-  double pop = 0.0;
-  for (const Result<double>& r : read) {
-    if (!r.ok()) return;
-    pop += *r;
-  }
+  // the window's sessions come in one grouped read, one store call per host.
+  WindowPlan plan(app_, latest_ts_);
+  const auto range = plan.Add([&](int64_t s) {
+    return keys().GroupHot(static_cast<core::GroupId>(group), s, item);
+  });
+  std::vector<Result<std::string>> read;
+  if (!client_->MultiGetBatch(plan.keys, &read).ok()) return;
+  const Result<double> pop = WindowPlan::SumOf(read, range);
+  if (!pop.ok()) return;
 
   const std::string key = keys().HotList(static_cast<core::GroupId>(group));
   core::Recommendations list;
@@ -499,15 +464,11 @@ void HotListBolt::Execute(const tstorm::Tuple& input,
   } else if (!blob.status().IsNotFound()) {
     return;
   }
-  if (!UpsertScored(&list, item, pop,
+  if (!UpsertScored(&list, item, *pop,
                     static_cast<size_t>(options().hot_list_size))) {
     return;
   }
-  Status s = cache_->Put(key, EncodeScoredList(list));
-  if (!s.ok()) {
-    TR_LOG(kError, "hot list write failed: %s", s.ToString().c_str());
-    return;
-  }
+  cache_->Put(key, EncodeScoredList(list));
   RecordEventToStore(static_cast<uint64_t>(input.GetInt(3)),
                      static_cast<uint64_t>(input.GetInt(4)));
 }
@@ -598,11 +559,7 @@ void CbProfileBolt::Execute(const tstorm::Tuple& input,
     if (!found) profile.weights.emplace_back(tag, w * tw);
   }
 
-  Status s = cache_->Put(key, EncodeContentProfile(profile));
-  if (!s.ok()) {
-    TR_LOG(kError, "profile write failed: %s", s.ToString().c_str());
-    return;
-  }
+  cache_->Put(key, EncodeContentProfile(profile));
   RecordEventToStore(action->ingest_micros, action->trace_id);
 }
 

@@ -9,7 +9,6 @@
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "obs/freshness.h"
-#include "tdstore/batch_writer.h"
 #include "tdstore/client.h"
 #include "topo/action_codec.h"
 #include "topo/app.h"
@@ -28,8 +27,8 @@ class StoreBolt : public tstorm::IBolt {
 
   void Prepare(const tstorm::TaskContext& ctx) override;
 
-  /// Ships any write-behind puts still staged on the batch writer, and logs
-  /// the first failed flush since the last Cleanup (an auto-flush reports
+  /// Ships any write-behind puts still staged in the cache, and logs the
+  /// first failed flush since the last Cleanup (an auto-flush reports
   /// nowhere else). tstorm runs Cleanup after the last Execute/Tick and
   /// before Run() returns, so every batch's writes reach the store before
   /// the engine commits the batch barrier (or a query reads the batch's
@@ -42,7 +41,7 @@ class StoreBolt : public tstorm::IBolt {
 
   /// Ships `combiner`'s whole buffer as one MultiIncrDouble: one grouped
   /// call per host instead of an increment round trip per key, bypassing
-  /// the cache and the batch writer. Keys whose increment fails are
+  /// the cache. Keys whose increment fails are
   /// re-buffered into the combiner (at-least-once: the next flush retries
   /// them) and the error is logged and returned. Once every delta has
   /// landed, records the buffered stamps (event-to-store latency from the
@@ -50,14 +49,14 @@ class StoreBolt : public tstorm::IBolt {
   Status FlushCombiner(Combiner* combiner);
 
   /// Sliding-window sum of a per-session double counter (Eq. 10 read side):
-  /// sums `key_of(session)` over the window ending at the session of `now`,
-  /// read through this worker's cache.
+  /// sums `key_of(session)` over the window ending at the session of `now`
+  /// through WindowPlan, read through this worker's cache.
   ///
   /// Only for counters this worker writes: the fine-grained cache is valid
   /// for those alone (§5.2 — stream grouping guarantees single-writer,
   /// which is what makes cached values trustworthy); caching another bolt's
   /// counter would pin its first-seen value forever. Read those with one
-  /// grouped Client::MultiGetDouble instead.
+  /// grouped Client::MultiGetBatch of a WindowPlan instead.
   Result<double> WindowSum(
       const std::function<std::string(int64_t session)>& key_of,
       EventTime now);
@@ -93,8 +92,8 @@ class StoreBolt : public tstorm::IBolt {
   const AppContext* app_;
   tstorm::TaskContext ctx_;
   std::unique_ptr<tdstore::Client> client_;
-  std::unique_ptr<tdstore::BatchWriter> writer_;
-  std::unique_ptr<StoreCache> cache_;  ///< stages its writes on writer_
+  /// The bolt's write-behind buffer for its read-modify-write state.
+  std::unique_ptr<StoreCache> cache_;
   LatencyHistogram* e2s_ = nullptr;
   /// This instance's event-time watermark register (stage = component name).
   obs::FreshnessTracker::ScopedSlot freshness_;

@@ -1,86 +1,90 @@
 #include "topo/store_cache.h"
 
+#include <memory>
+#include <utility>
+#include <vector>
+
+#include "common/trace.h"
 #include "tdstore/codec.h"
 
 namespace tencentrec::topo {
 
-void StoreCache::Touch(Entry& entry) {
-  lru_.splice(lru_.begin(), lru_, entry.lru_it);
+StoreCache::StoreCache(tdstore::Client* client, size_t capacity)
+    : client_(client), capacity_(capacity) {
+  if (MetricsEnabled()) {
+    auto& reg = MetricRegistry::Default();
+    staged_ops_ = reg.GetCounter("topo.store_cache.staged_ops");
+    flushed_batches_ = reg.GetCounter("topo.store_cache.flushes");
+    coalesced_puts_ = reg.GetCounter("topo.store_cache.coalesced_puts");
+  }
 }
 
-void StoreCache::InsertOrUpdate(const std::string& key, std::string value,
-                                bool negative) {
-  if (capacity_ == 0) return;  // cache disabled: nothing can be held
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    it->second.value = std::move(value);
-    it->second.negative = negative;
-    Touch(it->second);
-    return;
-  }
-  while (entries_.size() >= capacity_) {
+void StoreCache::Touch(Entry& entry) {
+  if (!entry.dirty) lru_.splice(lru_.begin(), lru_, entry.node);
+}
+
+void StoreCache::Trim() {
+  while (lru_.size() > capacity_) {
     entries_.erase(lru_.back());
     lru_.pop_back();
   }
-  lru_.push_front(key);
-  entries_[key] = Entry{std::move(value), negative, lru_.begin()};
 }
 
-Result<std::string> StoreCache::StoreRead(const std::string& key) {
-  // A staged put that has not shipped yet is the key's newest value (the
-  // cached copy may have been evicted since staging).
-  if (const std::string* staged = writer_->StagedPut(key)) return *staged;
-  return client_->Get(key);
+void StoreCache::InsertClean(const std::string& key, std::string value,
+                             bool negative) {
+  if (capacity_ == 0) return;  // would be evicted at once
+  lru_.push_front(key);
+  entries_.emplace(key, Entry{std::move(value), negative, /*dirty=*/false,
+                              /*trace=*/0, lru_.begin()});
+  Trim();
 }
 
 Result<std::string> StoreCache::Get(const std::string& key) {
-  if (!Active()) {
-    ++stats_.misses;
-    return StoreRead(key);
-  }
   auto it = entries_.find(key);
   if (it != entries_.end()) {
-    if (it->second.negative) {
+    Entry& entry = it->second;
+    Touch(entry);
+    if (entry.negative) {
       ++stats_.negative_hits;
-      Touch(it->second);
       return Status::NotFound(key);
     }
     ++stats_.hits;
-    Touch(it->second);
-    return it->second.value;
+    return entry.value;
   }
   ++stats_.misses;
-  auto value = StoreRead(key);
+  auto value = client_->Get(key);
   if (!value.ok()) {
-    if (value.status().IsNotFound()) {
-      InsertOrUpdate(key, "", /*negative=*/true);
-    }
+    if (value.status().IsNotFound()) InsertClean(key, "", /*negative=*/true);
     return value.status();
   }
-  InsertOrUpdate(key, *value);
+  InsertClean(key, *value, /*negative=*/false);
   return value;
 }
 
-Status StoreCache::Put(const std::string& key, std::string value) {
+void StoreCache::Put(const std::string& key, std::string value) {
   ++stats_.writes;
-  // A flush-time failure leaves the put staged on the writer, which
-  // retries it; the cache entry stays ahead of the store meanwhile.
-  writer_->Put(key, value);
-  if (Active()) InsertOrUpdate(key, std::move(value));
-  return Status::OK();
+  if (staged_ops_ != nullptr) staged_ops_->Add();
+  auto [it, inserted] = entries_.try_emplace(key);
+  Entry& entry = it->second;
+  entry.value = std::move(value);
+  entry.negative = false;
+  if (entry.dirty) {
+    // Last value wins; the put keeps its place in the shipping order.
+    if (entry.trace == 0) entry.trace = CurrentTraceId();
+    if (coalesced_puts_ != nullptr) coalesced_puts_->Add();
+    return;
+  }
+  entry.dirty = true;
+  entry.trace = CurrentTraceId();
+  if (inserted) {
+    entry.node = staged_.insert(staged_.end(), key);
+  } else {
+    staged_.splice(staged_.end(), lru_, entry.node);
+  }
+  if (staged_.size() >= flush_at_) (void)Flush();
 }
 
 Result<double> StoreCache::AddDouble(const std::string& key, double delta) {
-  if (!Active()) {
-    ++stats_.misses;
-    ++stats_.writes;
-    if (writer_->StagedPut(key) != nullptr) {
-      // The staged put must land before a point incr, or its later flush
-      // would clobber the increment.
-      TR_RETURN_IF_ERROR(writer_->Flush());
-    }
-    return client_->IncrDouble(key, delta);
-  }
   double current = 0.0;
   auto it = entries_.find(key);
   if (it != entries_.end()) {
@@ -96,7 +100,7 @@ Result<double> StoreCache::AddDouble(const std::string& key, double delta) {
     }
   } else {
     ++stats_.misses;
-    auto value = StoreRead(key);
+    auto value = client_->Get(key);
     if (value.ok()) {
       auto decoded = tdstore::DecodeDouble(*value);
       if (!decoded.ok()) return decoded.status();
@@ -106,13 +110,58 @@ Result<double> StoreCache::AddDouble(const std::string& key, double delta) {
     }
   }
   const double next = current + delta;
-  TR_RETURN_IF_ERROR(Put(key, tdstore::EncodeDouble(next)));
+  Put(key, tdstore::EncodeDouble(next));
   return next;
 }
 
-void StoreCache::Clear() {
-  lru_.clear();
-  entries_.clear();
+Status StoreCache::Flush() {
+  if (staged_.empty()) return Status::OK();
+  ++flushes_;
+  if (flushed_batches_ != nullptr) flushed_batches_->Add();
+
+  std::vector<std::pair<std::string, std::string>> puts;
+  std::vector<Entry*> shipped;
+  puts.reserve(staged_.size());
+  shipped.reserve(staged_.size());
+  for (const std::string& key : staged_) {
+    Entry& entry = entries_.find(key)->second;
+    puts.emplace_back(key, entry.value);
+    shipped.push_back(&entry);
+  }
+  std::vector<Status> statuses;
+  Status overall;
+  {
+    // Staging detached these writes from the Executes that issued them;
+    // re-attach each sampled put by spanning this flush's store call under
+    // its staged trace id, so a sampled trace still reaches tdstore.write.
+    std::vector<std::unique_ptr<ScopedSpan>> spans;
+    for (const Entry* entry : shipped) {
+      if (entry->trace != 0) {
+        spans.push_back(
+            std::make_unique<ScopedSpan>(entry->trace, "tdstore.write"));
+      }
+    }
+    overall = client_->MultiPut(puts, &statuses);
+  }
+  Status first_error;
+  for (size_t i = 0; i < shipped.size(); ++i) {
+    const Status& s = overall.ok() ? statuses[i] : overall;
+    if (!s.ok()) {
+      // Stays staged, in its place, for the next flush (at-least-once).
+      if (first_error.ok()) first_error = s;
+      continue;
+    }
+    Entry& entry = *shipped[i];
+    entry.dirty = false;
+    entry.trace = 0;
+    lru_.splice(lru_.begin(), staged_, entry.node);
+  }
+  Trim();
+  // Re-staged puts wait for kFlushAt new ones before the next auto-flush
+  // retries them, so a store outage costs no store call per staged put.
+  flush_at_ = staged_.size() + kFlushAt;
+  if (!first_error.ok() && last_error_.ok()) last_error_ = first_error;
+  return first_error;
 }
 
 }  // namespace tencentrec::topo

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "tdstore/batch_writer.h"
 #include "tdstore/client.h"
 #include "tdstore/cluster.h"
 #include "tdstore/codec.h"
@@ -322,91 +321,6 @@ TEST(ClientBatchTest, ScanPrefixRetryLooksUpPlacementByInstanceId) {
   for (const auto& [key, count] : seen) {
     EXPECT_EQ(count, 1) << key << " visited " << count << " times";
   }
-}
-
-// --- BatchWriter ------------------------------------------------------------
-
-TEST(BatchWriterTest, CoalescesPutsLastValueWins) {
-  auto cluster = Cluster::Create(SmallCluster());
-  ASSERT_TRUE(cluster.ok());
-  Client client(cluster->get());
-  BatchWriter writer(&client, {});
-  writer.Put("k", "v1");
-  writer.Put("k", "v2");
-  EXPECT_EQ(writer.pending(), 1u);
-  EXPECT_EQ(*writer.StagedPut("k"), "v2");
-  ASSERT_TRUE(writer.Flush().ok());
-  EXPECT_EQ(writer.StagedPut("k"), nullptr);
-  EXPECT_EQ(client.Get("k").value(), "v2");
-}
-
-TEST(BatchWriterTest, AutoFlushBySize) {
-  auto cluster = Cluster::Create(SmallCluster());
-  ASSERT_TRUE(cluster.ok());
-  Client client(cluster->get());
-
-  BatchWriter::Options by_size;
-  by_size.max_ops = 3;
-  BatchWriter sized(&client, by_size);
-  sized.PutDouble("s1", 1.0);
-  sized.PutDouble("s2", 1.0);
-  EXPECT_EQ(sized.flushes(), 0);
-  sized.PutDouble("s3", 1.0);
-  EXPECT_EQ(sized.flushes(), 1);
-  EXPECT_EQ(sized.pending(), 0u);
-  EXPECT_DOUBLE_EQ(client.GetDouble("s1").value(), 1.0);
-}
-
-TEST(BatchWriterTest, SurfacesErrorsThroughFlushAndLastError) {
-  auto cluster = Cluster::Create(SmallCluster());
-  ASSERT_TRUE(cluster.ok());
-  Client client(cluster->get());
-  for (int s = 0; s < 3; ++s) (*cluster)->data_server(s)->SetDown(true);
-
-  BatchWriter writer(&client, {});
-  writer.PutDouble("k", 1.0);
-  EXPECT_TRUE(writer.Flush().IsUnavailable());
-  EXPECT_TRUE(writer.last_error().IsUnavailable());
-  writer.ClearError();
-  EXPECT_TRUE(writer.last_error().ok());
-
-  // An auto-flush failure has no caller to return to; last_error() keeps
-  // it for the next check.
-  BatchWriter::Options one;
-  one.max_ops = 1;
-  BatchWriter eager(&client, one);
-  eager.PutDouble("k", 1.0);
-  EXPECT_EQ(eager.flushes(), 1);
-  EXPECT_TRUE(eager.last_error().IsUnavailable());
-}
-
-TEST(BatchWriterTest, FailedFlushRestagesItsPuts) {
-  auto cluster = Cluster::Create(SmallCluster());
-  ASSERT_TRUE(cluster.ok());
-  Client client(cluster->get());
-  BatchWriter::Options two;
-  two.max_ops = 2;
-  BatchWriter writer(&client, two);
-
-  for (int s = 0; s < 3; ++s) (*cluster)->data_server(s)->SetDown(true);
-  writer.PutDouble("a", 1.0);
-  writer.PutDouble("b", 2.0);  // auto-flush fails; both stay staged
-  EXPECT_EQ(writer.flushes(), 1);
-  EXPECT_EQ(writer.pending(), 2u);
-  ASSERT_NE(writer.StagedPut("a"), nullptr);
-  EXPECT_EQ(*writer.StagedPut("a"), EncodeDouble(1.0));
-  // The retry waits for max_ops new puts, not one store call per put.
-  writer.PutDouble("c", 3.0);
-  EXPECT_EQ(writer.flushes(), 1);
-  writer.PutDouble("b", 4.0);  // a newer put replaces the re-staged one
-  EXPECT_EQ(writer.pending(), 3u);
-  for (int s = 0; s < 3; ++s) (*cluster)->data_server(s)->SetDown(false);
-
-  ASSERT_TRUE(writer.Flush().ok());
-  EXPECT_EQ(writer.pending(), 0u);
-  EXPECT_EQ(client.GetDouble("a", -1.0).value(), 1.0);
-  EXPECT_EQ(client.GetDouble("b", -1.0).value(), 4.0);
-  EXPECT_EQ(client.GetDouble("c", -1.0).value(), 3.0);
 }
 
 // --- concurrency (ThreadSanitizer workload) ---------------------------------

@@ -184,17 +184,14 @@ class CacheFixture : public ::testing::Test {
     ASSERT_TRUE(cluster.ok());
     cluster_ = std::move(cluster).value();
     client_ = std::make_unique<tdstore::Client>(cluster_.get());
-    writer_ = std::make_unique<tdstore::BatchWriter>(
-        client_.get(), tdstore::BatchWriter::Options());
   }
 
   std::unique_ptr<tdstore::Cluster> cluster_;
   std::unique_ptr<tdstore::Client> client_;
-  std::unique_ptr<tdstore::BatchWriter> writer_;
 };
 
 TEST_F(CacheFixture, ReadThroughCachesHits) {
-  StoreCache cache(client_.get(), writer_.get(), 16);
+  StoreCache cache(client_.get(), 16);
   ASSERT_TRUE(client_->Put("k", "v").ok());
   auto first = cache.Get("k");
   ASSERT_TRUE(first.ok());
@@ -205,21 +202,21 @@ TEST_F(CacheFixture, ReadThroughCachesHits) {
 }
 
 TEST_F(CacheFixture, FlushedWritesVisibleToOtherReaders) {
-  StoreCache cache(client_.get(), writer_.get(), 16);
-  ASSERT_TRUE(cache.Put("k", "v1").ok());
-  // Another worker reading TDStore directly sees the write once the
-  // writer ships it.
-  ASSERT_TRUE(writer_->Flush().ok());
+  StoreCache cache(client_.get(), 16);
+  cache.Put("k", "v1");
+  // Another worker reading TDStore directly sees the write once the cache
+  // ships it.
+  ASSERT_TRUE(cache.Flush().ok());
   auto direct = client_->Get("k");
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(*direct, "v1");
 }
 
 TEST_F(CacheFixture, AddDoubleUsesCachedValue) {
-  StoreCache cache(client_.get(), writer_.get(), 16);
+  StoreCache cache(client_.get(), 16);
   ASSERT_TRUE(cache.AddDouble("c", 1.0).ok());
   ASSERT_TRUE(cache.AddDouble("c", 2.0).ok());
-  ASSERT_TRUE(writer_->Flush().ok());
+  ASSERT_TRUE(cache.Flush().ok());
   auto v = client_->GetDouble("c");
   ASSERT_TRUE(v.ok());
   EXPECT_DOUBLE_EQ(*v, 3.0);
@@ -228,52 +225,52 @@ TEST_F(CacheFixture, AddDoubleUsesCachedValue) {
 }
 
 TEST_F(CacheFixture, LruEvicts) {
-  StoreCache cache(client_.get(), writer_.get(), 2);
-  ASSERT_TRUE(cache.Put("a", "1").ok());
-  ASSERT_TRUE(cache.Put("b", "2").ok());
-  ASSERT_TRUE(cache.Put("c", "3").ok());  // evicts "a"
-  EXPECT_EQ(cache.size(), 2u);
+  StoreCache cache(client_.get(), 2);
+  cache.Put("a", "1");
+  cache.Put("b", "2");
+  cache.Put("c", "3");
+  EXPECT_EQ(cache.size(), 3u);  // staged entries stay until flushed
+  ASSERT_TRUE(cache.Flush().ok());
+  EXPECT_EQ(cache.size(), 2u);  // evicts "a", the least recently staged
   auto v = cache.Get("a");  // miss -> store
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(cache.stats().misses, 1);
 }
 
-TEST_F(CacheFixture, DisabledCachePassesThrough) {
-  StoreCache cache(client_.get(), writer_.get(), 16, /*enabled=*/false);
-  ASSERT_TRUE(cache.Put("k", "v").ok());
-  (void)cache.Get("k");
-  (void)cache.Get("k");
-  EXPECT_EQ(cache.stats().hits, 0);
-  EXPECT_EQ(cache.size(), 0u);
-}
-
 TEST_F(CacheFixture, CapacityZeroActsAsDisabled) {
   // Regression: capacity 0 used to reach lru_.back() on an empty list
-  // inside the eviction loop (undefined behavior). It now means "cache
-  // disabled": all operations pass through to the store and hold nothing.
-  StoreCache cache(client_.get(), writer_.get(), /*capacity=*/0);
-  ASSERT_TRUE(cache.Put("k", "v1").ok());
+  // inside the eviction loop (undefined behavior). It now keeps nothing
+  // once it has shipped: every read of a shipped key passes through to
+  // the store, and only staged puts are held.
+  StoreCache cache(client_.get(), /*capacity=*/0);
+  cache.Put("k", "v1");
+  ASSERT_TRUE(cache.Flush().ok());
+  EXPECT_EQ(cache.size(), 0u);
   auto v = cache.Get("k");
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(*v, "v1");
   (void)cache.Get("k");
-  EXPECT_EQ(cache.stats().hits, 0);  // nothing is ever cached
+  EXPECT_EQ(cache.stats().hits, 0);  // nothing clean is ever cached
+  EXPECT_EQ(cache.stats().misses, 2);
   EXPECT_EQ(cache.size(), 0u);
   ASSERT_TRUE(cache.AddDouble("c", 1.5).ok());
   auto sum = cache.AddDouble("c", 1.0);
   ASSERT_TRUE(sum.ok());
-  EXPECT_DOUBLE_EQ(*sum, 2.5);  // read-modify-write still correct via store
+  EXPECT_DOUBLE_EQ(*sum, 2.5);  // read-modify-write still correct
+  ASSERT_TRUE(cache.Flush().ok());
   auto direct = client_->GetDouble("c");
   ASSERT_TRUE(direct.ok());
   EXPECT_DOUBLE_EQ(*direct, 2.5);
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST_F(CacheFixture, CapacityOneHoldsExactlyOneEntry) {
-  StoreCache cache(client_.get(), writer_.get(), /*capacity=*/1);
-  ASSERT_TRUE(cache.Put("a", "1").ok());
-  EXPECT_EQ(cache.size(), 1u);
-  ASSERT_TRUE(cache.Put("b", "2").ok());  // evicts "a"
-  EXPECT_EQ(cache.size(), 1u);
+  StoreCache cache(client_.get(), /*capacity=*/1);
+  cache.Put("a", "1");
+  cache.Put("b", "2");
+  EXPECT_EQ(cache.size(), 2u);  // staged entries stay until flushed
+  ASSERT_TRUE(cache.Flush().ok());
+  EXPECT_EQ(cache.size(), 1u);  // evicts "a"
   auto b = cache.Get("b");
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(cache.stats().hits, 1);
