@@ -51,6 +51,9 @@ class TencentRec {
     /// app.parallelism == 0 enables automatic parallelism (§7 future work):
     /// each ProcessBatch sizes the keyed bolts from the batch's event rate.
     double auto_parallelism_event_cost_us = 50.0;
+    /// Envelopes (tuples) each topology task's input queue holds before
+    /// producers block (tstorm::LocalCluster::Options). Lowering it changes
+    /// which pairs the CF bolts prune (DESIGN.md §17).
     size_t queue_capacity = 4096;
     /// Also stream every ProcessBatch through an in-memory sharded
     /// ParallelItemCf (the Fig. 4 pipeline as real threads). Durable state

@@ -200,14 +200,14 @@ Status Client::MultiGetBatch(const std::vector<std::string>& keys,
 }
 
 Status Client::MultiPut(
-    const std::vector<std::pair<std::string, std::string>>& kvs,
+    const std::vector<std::pair<std::string_view, std::string_view>>& kvs,
     std::vector<Status>* out) {
   ScopedLatencyTimer timer(batch_write_us_);
   ScopedSpan span(CurrentTraceId(), "tdstore.batch_write");
   out->assign(kvs.size(), Status::Internal("unset"));
   return GroupedDispatch(
       kvs.size(),
-      [&](size_t i) -> std::string_view { return kvs[i].first; },
+      [&](size_t i) { return kvs[i].first; },
       [&](size_t i, int instance_id) {
         return BatchPut{instance_id, kvs[i].first, kvs[i].second};
       },

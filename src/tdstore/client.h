@@ -71,8 +71,11 @@ class Client {
   /// sequence.
   Status MultiGetBatch(const std::vector<std::string>& keys,
                        std::vector<Result<std::string>>* out);
-  Status MultiPut(const std::vector<std::pair<std::string, std::string>>& kvs,
-                  std::vector<Status>* out);
+  /// Keys and values are views; the server copies them once, into its op
+  /// record, so a caller that owns the strings ships them without copying.
+  Status MultiPut(
+      const std::vector<std::pair<std::string_view, std::string_view>>& kvs,
+      std::vector<Status>* out);
   Status MultiIncrDouble(const std::vector<std::pair<std::string, double>>& adds,
                          std::vector<Result<double>>* out);
   /// Batched GetDouble: missing keys decode as `fallback`.

@@ -85,12 +85,7 @@ Status DataServer::ClearInstance(int instance_id) {
 
 namespace {
 
-/// A point op's one item, viewing the caller's buffers (no copies).
-struct PointPut {
-  int instance_id;
-  std::string_view key;
-  std::string_view value;
-};
+/// A point increment's one item, viewing the caller's key (no copy).
 template <typename T>
 struct PointIncr {
   int instance_id;
@@ -232,7 +227,7 @@ Status DataServer::CommitLocked(Instance* inst, int instance_id,
 
 Status DataServer::Put(int instance_id, std::string_view key,
                        std::string_view value) {
-  const PointPut item{instance_id, key, value};
+  const BatchPut item{instance_id, key, value};
   Status out;
   TR_RETURN_IF_ERROR(WriteRuns(&item, 1, /*is_delete=*/false, &out,
                                PutWrite()));
@@ -240,11 +235,11 @@ Status DataServer::Put(int instance_id, std::string_view key,
 }
 
 Status DataServer::Delete(int instance_id, std::string_view key) {
-  const PointPut item{instance_id, key, {}};
+  const BatchPut item{instance_id, key, {}};
   Status out;
   TR_RETURN_IF_ERROR(WriteRuns(
       &item, 1, /*is_delete=*/true, &out,
-      [](Engine* engine, const PointPut& it, std::string*, std::string_view*) {
+      [](Engine* engine, const BatchPut& it, std::string*, std::string_view*) {
         return engine->Delete(it.key);
       }));
   return out;

@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/profiled_mutex.h"
@@ -16,22 +17,24 @@
 
 namespace tencentrec::tdstore {
 
-/// Per-item inputs for the batch entry points. `instance_id` is carried per
-/// item so one server call can span every instance this server hosts; the
-/// caller is expected to sort items so same-instance ops are contiguous
-/// (each contiguous run is applied under one lock acquisition).
+/// Per-item inputs for the batch entry points (and a point op's one item).
+/// `instance_id` is carried per item so one server call can span every
+/// instance this server hosts; the caller is expected to sort items so
+/// same-instance ops are contiguous (each contiguous run is applied under
+/// one lock acquisition). Keys and values view the caller's buffers, which
+/// must outlive the call; the server copies only into its op record.
 struct BatchGet {
   int instance_id = 0;
-  std::string key;
+  std::string_view key;
 };
 struct BatchPut {
   int instance_id = 0;
-  std::string key;
-  std::string value;
+  std::string_view key;
+  std::string_view value;
 };
 struct BatchIncrDouble {
   int instance_id = 0;
-  std::string key;
+  std::string_view key;
   double delta = 0.0;
 };
 

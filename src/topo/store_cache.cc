@@ -119,7 +119,8 @@ Status StoreCache::Flush() {
   ++flushes_;
   if (flushed_batches_ != nullptr) flushed_batches_->Add();
 
-  std::vector<std::pair<std::string, std::string>> puts;
+  // Views of the entries' own strings: neither moves before MultiPut returns.
+  std::vector<std::pair<std::string_view, std::string_view>> puts;
   std::vector<Entry*> shipped;
   puts.reserve(staged_.size());
   shipped.reserve(staged_.size());

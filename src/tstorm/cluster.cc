@@ -1,6 +1,8 @@
 #include "tstorm/cluster.h"
 
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 
 #include "common/hash.h"
@@ -11,19 +13,219 @@ namespace tencentrec::tstorm {
 
 namespace {
 
-/// What travels between tasks. `eos` marks the end of one upstream task's
-/// output; a consumer finishes after hearing EOS from every upstream task.
-struct Envelope {
-  Tuple tuple;
-  TupleSource source;
-  bool eos = false;
-};
+/// Envelopes a producer writes into one run before it pushes the run.
+constexpr size_t kRunSize = 32;
 
 uint64_t NowMicros() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+struct Envelope {
+  Tuple tuple;
+  TupleSource source;
+};
+
+struct Outbox;
+
+/// What travels between tasks: envelopes from one producer task to one
+/// consumer task, moved as a unit (DESIGN §17). Slots [0, size) are live;
+/// a drained run's slots keep the storage of its last fill, and the
+/// producer refills them in place, so only the producer's thread allocates
+/// or frees a tuple's storage. `eos` marks the producer's last run: the
+/// consumer finishes after an EOS run from every upstream task.
+struct TupleRun {
+  explicit TupleRun(Outbox* owner) : home(owner) {}
+
+  Outbox* const home;
+  std::vector<Envelope> slots;
+  size_t size = 0;
+  bool eos = false;
+  /// Link in a channel's queue or in its outbox's spare stack.
+  std::unique_ptr<TupleRun> next;
+};
+
+/// Frees a chain of runs one link at a time.
+void FreeChain(std::unique_ptr<TupleRun> run) {
+  while (run != nullptr) run = std::move(run->next);
+}
+
+/// A bolt task's input: one FIFO of runs from all its upstream tasks,
+/// bounded in envelopes. A run goes in or out under one lock; a push wakes
+/// the consumer only if it waits, and a pop wakes producers only if one is
+/// blocked on a full queue. A drained run goes back to its outbox under the
+/// same lock as the consumer's next pop.
+class Channel {
+ public:
+  explicit Channel(size_t capacity) : capacity_(capacity) {}
+
+  /// Queues `run` and returns a drained run of its outbox to refill, or
+  /// null. Blocks while the queue holds envelopes and `run` would take it
+  /// past capacity (backpressure); an empty queue takes any run, so runs
+  /// pass a capacity smaller than themselves.
+  std::unique_ptr<TupleRun> Push(std::unique_ptr<TupleRun> run);
+
+  /// Gives back `drained` (the consumer's previous run, or null), then
+  /// blocks until a run is queued and pops it.
+  std::unique_ptr<TupleRun> Pop(std::unique_ptr<TupleRun> drained);
+
+  /// Gives back the consumer's last run.
+  void GiveBack(std::unique_ptr<TupleRun> drained) {
+    std::lock_guard<std::mutex> lock(mu_);
+    Recycle(std::move(drained));
+  }
+
+  /// For a producer past EOS: frees the runs `box` got back, on the
+  /// caller's thread, after waiting for one if `wait` and some are out.
+  /// Returns whether none is out any more.
+  bool Reclaim(Outbox* box, bool wait);
+
+  /// Envelopes queued (the watchdog's backlog).
+  size_t size() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return queued_;
+  }
+
+ private:
+  void Recycle(std::unique_ptr<TupleRun> drained);  // requires mu_
+
+  const size_t capacity_;
+  mutable std::mutex mu_;
+  std::condition_variable readable_;
+  std::condition_variable writable_;
+  std::condition_variable returned_;
+  std::unique_ptr<TupleRun> head_;
+  TupleRun* tail_ = nullptr;
+  size_t queued_ = 0;  ///< envelopes in the queue
+  bool consumer_waiting_ = false;
+  int producers_waiting_ = 0;
+};
+
+/// One producer task's link to one consumer task: the run being filled and
+/// the drained runs waiting to be refilled.
+struct Outbox {
+  explicit Outbox(Channel* to) : channel(to) {}
+
+  Channel* const channel;
+  /// Being filled by the producer; null after a push that found no spare.
+  std::unique_ptr<TupleRun> open;
+  // Guarded by the channel's lock.
+  std::unique_ptr<TupleRun> spare;  ///< drained runs, handed back
+  size_t out = 0;                   ///< runs pushed, not handed back yet
+  bool reclaiming = false;          ///< the producer waits in Reclaim
+
+  /// Copies one envelope into the open run's next slot, reusing the
+  /// slot's storage; pushes the run when it is full.
+  void Write(const Tuple& tuple, const TupleSource& source) {
+    if (open == nullptr) open = std::make_unique<TupleRun>(this);
+    TupleRun& run = *open;
+    if (run.size < run.slots.size()) {
+      Envelope& slot = run.slots[run.size];
+      slot.tuple = tuple;
+      slot.source = source;
+    } else {
+      run.slots.push_back({tuple, source});
+    }
+    if (++run.size == kRunSize) Send(false);
+  }
+
+  /// Pushes the open run, with `eos` set, even if it holds nothing. Slots
+  /// past the run's size are freed first, so a queued run holds only live
+  /// envelopes.
+  void Send(bool eos) {
+    if (open == nullptr) open = std::make_unique<TupleRun>(this);
+    open->eos = eos;
+    open->slots.resize(open->size);
+    open = channel->Push(std::move(open));
+  }
+};
+
+std::unique_ptr<TupleRun> Channel::Push(std::unique_ptr<TupleRun> run) {
+  Outbox* const box = run->home;
+  const size_t n = run->size;
+  std::unique_ptr<TupleRun> refill;
+  std::unique_ptr<TupleRun> surplus;
+  bool wake = false;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (queued_ > 0 && queued_ + n > capacity_) {
+      ++producers_waiting_;
+      writable_.wait(lock,
+                     [&] { return queued_ == 0 || queued_ + n <= capacity_; });
+      --producers_waiting_;
+    }
+    queued_ += n;
+    ++box->out;
+    TupleRun* const raw = run.get();
+    if (tail_ == nullptr) {
+      head_ = std::move(run);
+    } else {
+      tail_->next = std::move(run);
+    }
+    tail_ = raw;
+    if (box->spare != nullptr) {
+      // Refill one drained run and free the rest: a queue that backed up
+      // hands back many runs once it drains.
+      refill = std::move(box->spare);
+      surplus = std::move(refill->next);
+    }
+    wake = consumer_waiting_;
+  }
+  if (wake) readable_.notify_one();
+  FreeChain(std::move(surplus));  // on the producer's thread, unlocked
+  return refill;
+}
+
+std::unique_ptr<TupleRun> Channel::Pop(std::unique_ptr<TupleRun> drained) {
+  std::unique_ptr<TupleRun> run;
+  bool wake = false;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    Recycle(std::move(drained));
+    if (head_ == nullptr) {
+      consumer_waiting_ = true;
+      readable_.wait(lock, [&] { return head_ != nullptr; });
+      consumer_waiting_ = false;
+    }
+    run = std::move(head_);
+    head_ = std::move(run->next);
+    if (head_ == nullptr) tail_ = nullptr;
+    queued_ -= run->size;
+    wake = producers_waiting_ > 0;
+  }
+  if (wake) writable_.notify_all();
+  return run;
+}
+
+bool Channel::Reclaim(Outbox* box, bool wait) {
+  std::unique_ptr<TupleRun> back;
+  bool done = false;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (wait) {
+      box->reclaiming = true;
+      returned_.wait(lock,
+                     [&] { return box->spare != nullptr || box->out == 0; });
+      box->reclaiming = false;
+    }
+    back = std::move(box->spare);
+    done = box->out == 0;
+  }
+  FreeChain(std::move(back));
+  return done;
+}
+
+void Channel::Recycle(std::unique_ptr<TupleRun> drained) {
+  if (drained == nullptr) return;
+  Outbox* const box = drained->home;
+  drained->size = 0;
+  drained->eos = false;
+  drained->next = std::move(box->spare);
+  box->spare = std::move(drained);
+  --box->out;
+  if (box->reclaiming) returned_.notify_all();
 }
 
 }  // namespace
@@ -43,16 +245,22 @@ struct LocalCluster::Task {
   bool is_spout = false;
   std::unique_ptr<ISpout> spout;
   std::unique_ptr<IBolt> bolt;
-  std::unique_ptr<BoundedQueue<Envelope>> input;  ///< bolts only
+  std::unique_ptr<Channel> input;  ///< bolts only
   int expected_eos = 0;
   int tick_interval = 0;
+
+  /// One outbox per consumer task this task feeds, and the index of each
+  /// consumer task's outbox by task index (-1 where it feeds none).
+  std::vector<std::unique_ptr<Outbox>> outboxes;
+  std::vector<int> outbox_of;
 
   std::thread thread;
   std::atomic<bool> restart_requested{false};
 
-  /// Liveness heartbeat for the stall watchdog: bumped (relaxed) once per
-  /// popped envelope / spout batch, readable mid-run. Kept separate from
-  /// the plain counters below so those stay single-writer non-atomics.
+  /// Liveness heartbeat for the stall watchdog: bumped (relaxed) by the
+  /// envelopes of each popped run / once per spout batch, readable mid-run.
+  /// Kept separate from the plain counters below so those stay
+  /// single-writer non-atomics.
   std::atomic<uint64_t> heartbeat{0};
 
   // Counters are written only by this task's thread; read after Run().
@@ -66,7 +274,7 @@ struct LocalCluster::Task {
   std::vector<uint64_t> shuffle_cursors;
 };
 
-/// Routes emitted tuples to consumer task queues according to groupings.
+/// Routes emitted tuples into the task's outboxes according to groupings.
 class LocalCluster::Collector : public OutputCollector {
  public:
   Collector(LocalCluster* cluster, Task* task)
@@ -94,8 +302,7 @@ class LocalCluster::Collector : public OutputCollector {
             task_->shuffle_cursors.resize(cursor_key + 1, 0);
           }
           uint64_t c = task_->shuffle_cursors[cursor_key]++;
-          Deliver(consumer_tasks[c % consumer_tasks.size()],
-                  {tuple, src, false});
+          Deliver(consumer_tasks[c % consumer_tasks.size()], tuple, src);
           break;
         }
         case GroupingType::kFields: {
@@ -104,18 +311,46 @@ class LocalCluster::Collector : public OutputCollector {
             TR_CHECK(fi < static_cast<int>(tuple.size()));
             h = HashCombine(h, HashValue(tuple.at(static_cast<size_t>(fi))));
           }
-          Deliver(consumer_tasks[h % consumer_tasks.size()],
-                  {tuple, src, false});
+          Deliver(consumer_tasks[h % consumer_tasks.size()], tuple, src);
           break;
         }
         case GroupingType::kGlobal:
-          Deliver(consumer_tasks[0], {tuple, src, false});
+          Deliver(consumer_tasks[0], tuple, src);
           break;
         case GroupingType::kAll:
-          for (int t : consumer_tasks) Deliver(t, {tuple, src, false});
+          for (int t : consumer_tasks) Deliver(t, tuple, src);
           break;
       }
     }
+  }
+
+  /// Pushes every outbox's partly filled run.
+  void Flush() {
+    for (auto& box : task_->outboxes) {
+      if (box->open != nullptr && box->open->size > 0) box->Send(false);
+    }
+  }
+
+  /// Pushes every outbox's last run, marked EOS, then frees this task's
+  /// runs on its own thread as the consumers hand them back: a finished
+  /// producer's runs would otherwise hold their storage until the cluster
+  /// is destroyed, while the consumers are still working.
+  void FinishWithEos() {
+    for (auto& box : task_->outboxes) {
+      box->Send(true);
+      box->open.reset();
+    }
+    // Free what came back, then wait on one outbox with runs still out.
+    Outbox* wait_on = nullptr;
+    do {
+      Outbox* still_out = nullptr;
+      for (auto& box : task_->outboxes) {
+        const bool done =
+            box->channel->Reclaim(box.get(), box.get() == wait_on);
+        if (!done && still_out == nullptr) still_out = box.get();
+      }
+      wait_on = still_out;
+    } while (wait_on != nullptr);
   }
 
  private:
@@ -124,9 +359,9 @@ class LocalCluster::Collector : public OutputCollector {
     return (static_cast<uint64_t>(stream_index) << 16) | route;
   }
 
-  void Deliver(int task_index, Envelope env) {
-    cluster_->tasks_[static_cast<size_t>(task_index)]->input->Push(
-        std::move(env));
+  void Deliver(int task_index, const Tuple& tuple, const TupleSource& src) {
+    const int box = task_->outbox_of[static_cast<size_t>(task_index)];
+    task_->outboxes[static_cast<size_t>(box)]->Write(tuple, src);
   }
 
   LocalCluster* cluster_;
@@ -171,8 +406,7 @@ Status LocalCluster::Init() {
         if (i == 0) streams_[static_cast<size_t>(c)] = task->spout->DeclareOutputs();
       } else {
         task->bolt = comp.bolt_factory();
-        task->input =
-            std::make_unique<BoundedQueue<Envelope>>(options_.queue_capacity);
+        task->input = std::make_unique<Channel>(options_.queue_capacity);
         if (i == 0) streams_[static_cast<size_t>(c)] = task->bolt->DeclareOutputs();
       }
       tasks_by_component_[static_cast<size_t>(c)].push_back(
@@ -264,23 +498,25 @@ Status LocalCluster::Init() {
           " has no input streams");
     }
   }
-  return Status::OK();
-}
 
-void LocalCluster::BroadcastEos(Task* task) {
-  const auto& stream_routes = routes_[static_cast<size_t>(task->component_id)];
-  std::set<int> consumers;
-  for (const auto& per_stream : stream_routes) {
-    for (const auto& route : per_stream) {
-      consumers.insert(route.consumer_component);
+  // One outbox per (task, consumer task) pair; EOS goes out through each.
+  for (auto& task : tasks_) {
+    task->outbox_of.assign(tasks_.size(), -1);
+    for (const auto& per_stream :
+         routes_[static_cast<size_t>(task->component_id)]) {
+      for (const auto& route : per_stream) {
+        for (int t : tasks_by_component_[static_cast<size_t>(
+                 route.consumer_component)]) {
+          int& box = task->outbox_of[static_cast<size_t>(t)];
+          if (box >= 0) continue;
+          box = static_cast<int>(task->outboxes.size());
+          task->outboxes.push_back(std::make_unique<Outbox>(
+              tasks_[static_cast<size_t>(t)]->input.get()));
+        }
+      }
     }
   }
-  TupleSource src{task->component_id, 0, task->instance};
-  for (int c : consumers) {
-    for (int t : tasks_by_component_[static_cast<size_t>(c)]) {
-      tasks_[static_cast<size_t>(t)]->input->Push({Tuple(), src, true});
-    }
-  }
+  return Status::OK();
 }
 
 void LocalCluster::RunSpoutTask(Task* task) {
@@ -301,9 +537,10 @@ void LocalCluster::RunSpoutTask(Task* task) {
     task->busy_micros += NowMicros() - t0;
     task->heartbeat.fetch_add(1, std::memory_order_relaxed);
     if (!more) break;
+    collector.Flush();
   }
   task->spout->Close();
-  BroadcastEos(task);
+  collector.FinishWithEos();
 }
 
 void LocalCluster::RunBoltTask(Task* task) {
@@ -318,47 +555,61 @@ void LocalCluster::RunBoltTask(Task* task) {
   Collector collector(this, task);
   task->bolt->Prepare(ctx);
 
+  // Simulated supervised worker restart: flush transient buffers (in
+  // production, Storm's at-least-once replay covers tuples a crashed
+  // combiner had buffered; this engine is acker-less, so the supervisor
+  // drains instead), then lose the bolt object and recover the way Storm
+  // does — a fresh instance re-Prepared against durable state. Tick +
+  // Cleanup mirrors the end-of-task sequence below: Tick drains combiners,
+  // Cleanup ships the write-behind cache's staged puts — both must reach
+  // the store before the replacement instance re-reads it. Checked before
+  // each pop and each tuple, so a restart lands mid-run too.
+  const auto restart_if_requested = [&] {
+    if (!task->restart_requested.load(std::memory_order_relaxed) ||
+        !task->restart_requested.exchange(false)) {
+      return;
+    }
+    task->bolt->Tick(collector);
+    task->bolt->Cleanup();
+    task->bolt.reset();
+    task->bolt = comp.bolt_factory();
+    task->bolt->Prepare(ctx);
+    ++task->restarts;
+  };
+
   int eos_seen = 0;
   uint64_t since_tick = 0;
+  std::unique_ptr<TupleRun> run;
   while (eos_seen < task->expected_eos) {
-    if (task->restart_requested.exchange(false)) {
-      // Simulated supervised worker restart: flush transient buffers (in
-      // production, Storm's at-least-once replay covers tuples a crashed
-      // combiner had buffered; this engine is acker-less, so the supervisor
-      // drains instead), then lose the bolt object and recover the way
-      // Storm does — a fresh instance re-Prepared against durable state.
-      // Tick + Cleanup mirrors the end-of-task sequence below: Tick drains
-      // combiners, Cleanup ships write-behind ops still staged on the batch
-      // writer — both must reach the store before the replacement instance
-      // re-reads it.
-      task->bolt->Tick(collector);
-      task->bolt->Cleanup();
-      task->bolt.reset();
-      task->bolt = comp.bolt_factory();
-      task->bolt->Prepare(ctx);
-      ++task->restarts;
-    }
-    std::optional<Envelope> env = task->input->Pop();
-    if (!env.has_value()) break;  // queue closed (cluster teardown)
-    task->heartbeat.fetch_add(1, std::memory_order_relaxed);
-    if (env->eos) {
-      ++eos_seen;
-      continue;
-    }
-    ++task->executed;
-    const uint64_t t0 = NowMicros();
-    task->bolt->Execute(env->tuple, env->source, collector);
-    if (task->tick_interval > 0 &&
-        ++since_tick >= static_cast<uint64_t>(task->tick_interval)) {
-      since_tick = 0;
-      task->bolt->Tick(collector);
+    restart_if_requested();
+    run = task->input->Pop(std::move(run));
+    task->heartbeat.fetch_add(run->size + (run->eos ? 1 : 0),
+                              std::memory_order_relaxed);
+    uint64_t t0 = NowMicros();
+    for (size_t i = 0; i < run->size; ++i) {
+      if (task->restart_requested.load(std::memory_order_relaxed)) {
+        task->busy_micros += NowMicros() - t0;  // a restart is not busy time
+        restart_if_requested();
+        t0 = NowMicros();
+      }
+      const Envelope& env = run->slots[i];
+      ++task->executed;
+      task->bolt->Execute(env.tuple, env.source, collector);
+      if (task->tick_interval > 0 &&
+          ++since_tick >= static_cast<uint64_t>(task->tick_interval)) {
+        since_tick = 0;
+        task->bolt->Tick(collector);
+      }
     }
     task->busy_micros += NowMicros() - t0;
+    if (run->eos) ++eos_seen;
+    collector.Flush();
   }
+  task->input->GiveBack(std::move(run));
   // Final flush before declaring this task's output finished.
   task->bolt->Tick(collector);
   task->bolt->Cleanup();
-  BroadcastEos(task);
+  collector.FinishWithEos();
 }
 
 void LocalCluster::RunTask(Task* task) {

@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/queue.h"
 #include "common/status.h"
 #include "tstorm/component.h"
 #include "tstorm/topology.h"
@@ -17,9 +16,10 @@
 namespace tencentrec::tstorm {
 
 /// Live liveness view of one component, summed over instances: `progress`
-/// is a monotone heartbeat that advances whenever any instance pops an
-/// envelope (bolts) or runs a NextBatch (spouts); `backlog` is the current
-/// depth of the instances' input queues. A watchdog samples rows while
+/// is a monotone heartbeat that advances by one per envelope any instance
+/// pops (bolts; a run's envelopes count when the run is popped) or per
+/// NextBatch (spouts); `backlog` is the current depth of the instances'
+/// input queues, in envelopes. A watchdog samples rows while
 /// Run() is in flight: unchanged progress with nonzero backlog means the
 /// component is stuck, not idle.
 struct ComponentWatch {
@@ -42,7 +42,8 @@ struct ComponentMetrics {
 
 /// Runs a TopologySpec to completion on a pool of threads, one per task
 /// (component instance), with bounded queues between tasks providing
-/// backpressure.
+/// backpressure. Tuples move between tasks in runs of up to 32 envelopes,
+/// one lock per run on each side (DESIGN.md §17).
 ///
 /// Lifecycle: every spout task is Open()ed before any spout pulls its
 /// first batch (a spout that joins a consumer group in Open must not find
@@ -62,6 +63,10 @@ struct ComponentMetrics {
 class LocalCluster {
  public:
   struct Options {
+    /// Envelopes (tuples) a bolt task's input queue holds before producers
+    /// block; runs count by the envelopes they carry. Queue depth sets how
+    /// far a bolt lags behind its siblings, so lowering it changes which
+    /// pairs the CF bolts prune (DESIGN.md §17).
     size_t queue_capacity = 4096;
   };
 
@@ -102,7 +107,6 @@ class LocalCluster {
   void RunTask(Task* task);
   void RunSpoutTask(Task* task);
   void RunBoltTask(Task* task);
-  void BroadcastEos(Task* task);
 
   TopologySpec spec_;
   Options options_;

@@ -587,8 +587,10 @@ void DriveEveryWriteEntryPoint(tdstore::Client* client) {
   for (int i = 0; i < 60; ++i) {
     kvs.emplace_back("mput:" + std::to_string(i % 25), "m" + std::to_string(i));
   }
+  const std::vector<std::pair<std::string_view, std::string_view>> kv_views(
+      kvs.begin(), kvs.end());
   std::vector<Status> put_out;
-  ASSERT_TRUE(client->MultiPut(kvs, &put_out).ok());
+  ASSERT_TRUE(client->MultiPut(kv_views, &put_out).ok());
   for (size_t i = 0; i < put_out.size(); ++i) {
     ASSERT_TRUE(put_out[i].ok()) << i;
   }

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <map>
 #include <mutex>
+#include <set>
+#include <string>
 #include <thread>
 
 #include "tstorm/cluster.h"
@@ -12,10 +14,12 @@
 namespace tencentrec::tstorm {
 namespace {
 
-/// Emits integers [0, n) on a stream with fields {key, value}.
+/// Emits integers [0, n) on a stream with fields {key, value}, `batch` per
+/// NextBatch; instance i of p emits i, i + p, i + 2p, ...
 class IntSpout : public ISpout {
  public:
-  explicit IntSpout(int n, int num_keys = 8) : n_(n), num_keys_(num_keys) {}
+  explicit IntSpout(int n, int num_keys = 8, int batch = 16)
+      : n_(n), num_keys_(num_keys), batch_(batch) {}
 
   std::vector<StreamDecl> DeclareOutputs() const override {
     return {{"ints", {"key", "value"}}};
@@ -28,7 +32,7 @@ class IntSpout : public ISpout {
 
   bool NextBatch(OutputCollector& out) override {
     int emitted = 0;
-    while (next_ < n_ && emitted < 16) {
+    while (next_ < n_ && emitted < batch_) {
       out.Emit(Tuple::Of({static_cast<int64_t>(next_ % num_keys_),
                           static_cast<int64_t>(next_)}));
       next_ += stride_;
@@ -40,6 +44,7 @@ class IntSpout : public ISpout {
  private:
   int n_;
   int num_keys_;
+  int batch_;
   int next_ = 0;
   int stride_ = 1;
 };
@@ -456,6 +461,277 @@ TEST(LocalClusterTest, TinyQueuesBackpressureWithoutLoss) {
   ASSERT_TRUE(cluster.ok());
   ASSERT_TRUE((*cluster)->Run().ok());
   EXPECT_EQ(sink.tuples.size(), 2000u);
+}
+
+// --- runs: batched hand-off ---------------------------------------------------
+
+TEST(LocalClusterRunsTest, TwoProducersKeepPerKeyOrderAcrossRunBoundaries) {
+  // 300 tuples per NextBatch over 3 consumers: about 100 per consumer per
+  // batch, so every batch pushes full runs mid-batch and a partial run at
+  // its end. Per key and per producer, arrival must follow emission.
+  Sink sink;
+  TopologyBuilder b("order");
+  b.SetSpout("spout",
+             [] { return std::make_unique<IntSpout>(12000, 16, 300); }, 2);
+  b.SetBolt("bolt", [&sink] { return std::make_unique<CollectBolt>(&sink); },
+            3)
+      .FieldsGrouping("spout", {"key"});
+  auto cluster = LocalCluster::Create(MustBuild(std::move(b)));
+  ASSERT_TRUE(cluster.ok());
+  ASSERT_TRUE((*cluster)->Run().ok());
+  ASSERT_EQ(sink.tuples.size(), 12000u);
+  EXPECT_FALSE(sink.key_instance_conflict);
+  // Value v came from producer v % 2; its values rise in emission order.
+  std::map<std::pair<int64_t, int64_t>, int64_t> last;  // (key, producer)
+  for (const auto& [inst, t] : sink.tuples) {
+    const int64_t v = t.GetInt(1);
+    auto [it, first] = last.emplace(std::make_pair(t.GetInt(0), v % 2), v);
+    if (!first) {
+      EXPECT_LT(it->second, v) << "key " << t.GetInt(0) << " producer "
+                               << v % 2 << " reordered";
+      it->second = v;
+    }
+  }
+}
+
+/// Records how many tuples it executed by the time its final Tick runs.
+class CountingSinkBolt : public IBolt {
+ public:
+  explicit CountingSinkBolt(std::atomic<int>* at_final_tick)
+      : at_final_tick_(at_final_tick) {}
+  void Execute(const Tuple& input, const TupleSource& source,
+               OutputCollector& out) override {
+    (void)input;
+    (void)source;
+    (void)out;
+    ++executed_;
+  }
+  void Tick(OutputCollector& out) override {
+    (void)out;
+    at_final_tick_->store(executed_);  // the last Tick wins
+  }
+
+ private:
+  std::atomic<int>* at_final_tick_;
+  int executed_ = 0;
+};
+
+TEST(LocalClusterRunsTest, FinalTickEmitsArriveBeforeEos) {
+  // BufferingBolt holds 200 keys and emits them all from its final Tick:
+  // full runs and a partial one, buffered when it sends EOS.
+  std::atomic<int> at_final_tick{-1};
+  TopologyBuilder b("final_tick");
+  b.SetSpout("spout", [] { return std::make_unique<IntSpout>(1000, 200); });
+  b.SetBolt("buffer", [] { return std::make_unique<BufferingBolt>(); })
+      .FieldsGrouping("spout", {"key"});
+  b.SetBolt("count",
+            [&at_final_tick] {
+              return std::make_unique<CountingSinkBolt>(&at_final_tick);
+            })
+      .ShuffleGrouping("buffer", "sums");
+  auto cluster = LocalCluster::Create(MustBuild(std::move(b)));
+  ASSERT_TRUE(cluster.ok());
+  ASSERT_TRUE((*cluster)->Run().ok());
+  EXPECT_EQ(at_final_tick.load(), 200);
+}
+
+/// Forwards each input with its own instance id appended.
+class TagBolt : public IBolt {
+ public:
+  std::vector<StreamDecl> DeclareOutputs() const override {
+    return {{"tagged", {"key", "value", "tag"}}};
+  }
+  void Prepare(const TaskContext& ctx) override { instance_ = ctx.instance; }
+  void Execute(const Tuple& input, const TupleSource& source,
+               OutputCollector& out) override {
+    (void)source;
+    out.Emit(Tuple::Of({input.GetInt(0), input.GetInt(1),
+                        static_cast<int64_t>(instance_)}));
+  }
+
+ private:
+  int instance_ = 0;
+};
+
+TEST(LocalClusterRunsTest, FanOutChainAtCapacityOneDeliversExactlyOnce) {
+  // spout -fields-> a (x2) -all-> b (x3) -fields-> sink (x2), every queue
+  // holding one envelope: each run waits for an empty queue.
+  Sink sink;
+  TopologyBuilder b("fanout");
+  b.SetSpout("spout", [] { return std::make_unique<IntSpout>(3000, 16, 256); });
+  b.SetBolt("a", [] { return std::make_unique<TagBolt>(); }, 2)
+      .FieldsGrouping("spout", {"key"});
+  b.SetBolt("b", [] { return std::make_unique<TagBolt>(); }, 3)
+      .AllGrouping("a");
+  b.SetBolt("sink", [&sink] { return std::make_unique<CollectBolt>(&sink); },
+            2)
+      .FieldsGrouping("b", {"key"});
+  auto spec = std::move(b).Build();
+  ASSERT_TRUE(spec.ok());
+  LocalCluster::Options options;
+  options.queue_capacity = 1;
+  auto cluster = LocalCluster::Create(std::move(spec).value(), options);
+  ASSERT_TRUE(cluster.ok());
+  ASSERT_TRUE((*cluster)->Run().ok());
+  ASSERT_EQ(sink.tuples.size(), 9000u);
+  std::set<std::pair<int64_t, int64_t>> seen;  // (value, b's instance)
+  for (const auto& [inst, t] : sink.tuples) {
+    EXPECT_TRUE(seen.emplace(t.GetInt(1), t.GetInt(2)).second)
+        << "value " << t.GetInt(1) << " via b" << t.GetInt(2) << " twice";
+  }
+  EXPECT_EQ(seen.size(), 9000u);
+}
+
+/// The tuple emitted for sequence number `seq`: five or two fields, in
+/// stretches and interleaved, with strings past the small-string buffer and
+/// types that change per position, so refilled slots change shape.
+Tuple ShapeFor(int64_t seq) {
+  const bool wide = (seq / 100) % 2 == 0 ? seq % 7 != 3 : seq % 5 == 0;
+  const std::string long_text(20 + seq % 40, static_cast<char>('a' + seq % 26));
+  if (wide) {
+    return Tuple::Of({seq, 0.5 * static_cast<double>(seq), long_text,
+                      std::string(seq % 3 == 0 ? "s" : "short"), seq * 3});
+  }
+  return Tuple::Of({seq, seq % 2 == 0 ? Value(long_text) : Value(seq * 7)});
+}
+
+class ShapeSpout : public ISpout {
+ public:
+  explicit ShapeSpout(int64_t n) : n_(n) {}
+  std::vector<StreamDecl> DeclareOutputs() const override {
+    return {{"shapes", {"seq"}}};
+  }
+  bool NextBatch(OutputCollector& out) override {
+    for (int i = 0; i < 97 && next_ < n_; ++i) out.Emit(ShapeFor(next_++));
+    return next_ < n_;
+  }
+
+ private:
+  int64_t n_;
+  int64_t next_ = 0;
+};
+
+/// Compares every input with ShapeFor(its seq), field by field, and
+/// records the seqs in arrival order (one instance; read after Run()).
+class ShapeCheckBolt : public IBolt {
+ public:
+  ShapeCheckBolt(std::vector<int64_t>* seqs, int* mismatched)
+      : seqs_(seqs), mismatched_(mismatched) {}
+  void Execute(const Tuple& input, const TupleSource& source,
+               OutputCollector& out) override {
+    (void)source;
+    (void)out;
+    const Tuple want = ShapeFor(input.GetInt(0));
+    if (input.size() != want.size() || input.values() != want.values()) {
+      ++*mismatched_;
+    }
+    seqs_->push_back(input.GetInt(0));
+  }
+
+ private:
+  std::vector<int64_t>* seqs_;
+  int* mismatched_;
+};
+
+TEST(LocalClusterRunsTest, RefilledSlotsCarryExactSizeAndValues) {
+  std::vector<int64_t> seqs;
+  int mismatched = 0;
+  TopologyBuilder b("shapes");
+  b.SetSpout("spout", [] { return std::make_unique<ShapeSpout>(5000); });
+  b.SetBolt("check",
+            [&seqs, &mismatched] {
+              return std::make_unique<ShapeCheckBolt>(&seqs, &mismatched);
+            })
+      .ShuffleGrouping("spout");
+  auto cluster = LocalCluster::Create(MustBuild(std::move(b)));
+  ASSERT_TRUE(cluster.ok());
+  ASSERT_TRUE((*cluster)->Run().ok());
+  EXPECT_EQ(mismatched, 0);
+  // Every slot carried the tuple emitted into it, not an earlier fill's.
+  ASSERT_EQ(seqs.size(), 5000u);
+  for (size_t i = 0; i < seqs.size(); ++i) {
+    ASSERT_EQ(seqs[i], static_cast<int64_t>(i));
+  }
+}
+
+/// Buffers values and emits them on Tick. The instance that sees value
+/// `trigger` asks the cluster to restart this bolt; `first_after` records
+/// the first value a restarted instance executes.
+class RestartingBufferBolt : public IBolt {
+ public:
+  RestartingBufferBolt(LocalCluster** cluster, int64_t trigger,
+                       std::atomic<int>* prepares,
+                       std::atomic<int64_t>* first_after)
+      : cluster_(cluster),
+        trigger_(trigger),
+        prepares_(prepares),
+        first_after_(first_after) {}
+  std::vector<StreamDecl> DeclareOutputs() const override {
+    return {{"values", {"key", "value"}}};
+  }
+  void Prepare(const TaskContext& ctx) override {
+    (void)ctx;
+    restarted_ = prepares_->fetch_add(1) > 0;
+  }
+  void Execute(const Tuple& input, const TupleSource& source,
+               OutputCollector& out) override {
+    (void)source;
+    (void)out;
+    const int64_t v = input.GetInt(1);
+    if (restarted_ && first_after_->load() < 0) first_after_->store(v);
+    buffer_.push_back(v);
+    if (v == trigger_) {
+      EXPECT_TRUE((*cluster_)->RequestRestart("mid").ok());
+    }
+  }
+  void Tick(OutputCollector& out) override {
+    for (int64_t v : buffer_) out.Emit(Tuple::Of({v % 8, v}));
+    buffer_.clear();
+  }
+
+ private:
+  LocalCluster** cluster_;
+  int64_t trigger_;
+  std::atomic<int>* prepares_;
+  std::atomic<int64_t>* first_after_;
+  bool restarted_ = false;
+  std::vector<int64_t> buffer_;
+};
+
+TEST(LocalClusterRunsTest, RestartMidRunLosesAndDuplicatesNothing) {
+  // One spout batch of 256 reaches "mid" as full runs; value 100 is not
+  // the first of its run.
+  Sink sink;
+  std::atomic<int> prepares{0};
+  std::atomic<int64_t> first_after{-1};
+  LocalCluster* raw = nullptr;
+  TopologyBuilder b("restart_mid_run");
+  b.SetSpout("spout", [] { return std::make_unique<IntSpout>(1000, 8, 256); });
+  b.SetBolt("mid",
+            [&] {
+              return std::make_unique<RestartingBufferBolt>(
+                  &raw, 100, &prepares, &first_after);
+            })
+      .FieldsGrouping("spout", {"key"});
+  b.SetBolt("sink", [&sink] { return std::make_unique<CollectBolt>(&sink); },
+            2)
+      .FieldsGrouping("mid", {"key"});
+  auto cluster = LocalCluster::Create(MustBuild(std::move(b)));
+  ASSERT_TRUE(cluster.ok());
+  raw = cluster->get();
+  ASSERT_TRUE((*cluster)->Run().ok());
+  EXPECT_EQ(prepares.load(), 2);
+  EXPECT_EQ(first_after.load(), 101);  // the restart landed mid-run
+  ASSERT_EQ(sink.tuples.size(), 1000u);
+  std::set<int64_t> values;
+  for (const auto& [inst, t] : sink.tuples) values.insert(t.GetInt(1));
+  EXPECT_EQ(values.size(), 1000u);
+  for (const auto& m : (*cluster)->Metrics()) {
+    if (m.component == "mid") {
+      EXPECT_EQ(m.restarts, 1u);
+      EXPECT_EQ(m.tuples_executed, 1000u);
+    }
+  }
 }
 
 TEST(LocalClusterTest, MultipleSpoutsMergeIntoOneBolt) {
