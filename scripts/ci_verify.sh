@@ -11,15 +11,17 @@
 #      round-trips, and the kill-mid-stream SIGKILL recovery test must pass
 #      standalone, not only interleaved with the suite);
 #   4. an AddressSanitizer+UBSan build running the `itemcf`, `query`,
-#      `store`, `topo` and `tstorm` labels (the raw-memory flat tables,
-#      arena scratch, and SoA TopK of DESIGN.md §15, the planned-read query
-#      path of §11, the store's run loop, WAL and replication of §10/§14 —
-#      `store` includes durable_test — the byte-string table under the
-#      MDB/RDB/FDB engines and the Combiner of §16, in flat_table_test, the
-#      bolts' write path of §10: the Combiner and the write-behind
-#      StoreCache, in topo_test, parity_test and query_batch_test, and the
-#      tuple runs of §17, whose envelope storage is recycled by hand, in
-#      tstorm_test);
+#      `store`, `topo`, `tstorm` and `engine` labels (the raw-memory flat
+#      tables, arena scratch, and SoA TopK of DESIGN.md §15, the
+#      planned-read query path of §11, the store's run loop, WAL and
+#      replication of §10/§14 — `store` includes durable_test — the
+#      byte-string table under the MDB/RDB/FDB engines and the Combiner of
+#      §16, in flat_table_test, the bolts' write path of §10: the Combiner
+#      and the write-behind StoreCache, in topo_test, parity_test and
+#      query_batch_test, the tuple runs of §17, whose envelope storage is
+#      recycled by hand, in tstorm_test, and the engine end to end in
+#      engine_test: every bolt, materialized results, pruning and
+#      ProcessFromAccess over TDStore);
 #   5. a ThreadSanitizer build running the `concurrent` and `topo` labels
 #      (sharded executor, striped histogram/tracer, batch clients,
 #      single-flight, MDB readers against a writer on the §16 table, the
@@ -55,10 +57,10 @@ echo "=== durable: WAL/snapshot recovery incl. kill-mid-stream ==="
 if [[ "${TR_SKIP_ASAN:-0}" == "1" ]]; then
   echo "=== asan: skipped (TR_SKIP_ASAN=1) ==="
 else
-  echo "=== asan: itemcf + query + store + topo + tstorm labels under AddressSanitizer+UBSan ==="
+  echo "=== asan: itemcf + query + store + topo + tstorm + engine labels under AddressSanitizer+UBSan ==="
   cmake -B "$asan_dir" -S "$repo_root" -DTR_SANITIZE_ADDRESS=ON
   cmake --build "$asan_dir" -j "$(nproc)"
-  (cd "$asan_dir" && ctest -L 'itemcf|query|store|topo|tstorm' --output-on-failure)
+  (cd "$asan_dir" && ctest -L 'itemcf|query|store|topo|tstorm|engine' --output-on-failure)
 fi
 
 if [[ "${TR_SKIP_TSAN:-0}" == "1" ]]; then

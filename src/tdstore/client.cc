@@ -86,13 +86,6 @@ Result<double> Client::IncrDouble(std::string_view key, double delta) {
                  });
 }
 
-Result<int64_t> Client::IncrInt64(std::string_view key, int64_t delta) {
-  return PointOp(write_us_, "tdstore.write", key,
-                 [&](DataServer* host, int instance) -> Result<int64_t> {
-                   return host->IncrInt64(instance, key, delta);
-                 });
-}
-
 Result<double> Client::GetDouble(std::string_view key, double fallback) {
   auto raw = Get(key);
   if (!raw.ok()) {
@@ -100,15 +93,6 @@ Result<double> Client::GetDouble(std::string_view key, double fallback) {
     return raw.status();
   }
   return DecodeDouble(*raw);
-}
-
-Result<int64_t> Client::GetInt64(std::string_view key, int64_t fallback) {
-  auto raw = Get(key);
-  if (!raw.ok()) {
-    if (raw.status().IsNotFound()) return fallback;
-    return raw.status();
-  }
-  return DecodeInt64(*raw);
 }
 
 template <typename KeyOf, typename MakeItem, typename Dispatch, typename OutT>

@@ -46,17 +46,12 @@ class Client {
 
   /// Atomic add on a double-encoded value; missing key counts as 0.
   Result<double> IncrDouble(std::string_view key, double delta);
-  Result<int64_t> IncrInt64(std::string_view key, int64_t delta);
 
   Status PutDouble(std::string_view key, double value) {
     return Put(key, EncodeDouble(value));
   }
   /// Missing key decodes as `fallback` (counters default to zero).
   Result<double> GetDouble(std::string_view key, double fallback = 0.0);
-  Status PutInt64(std::string_view key, int64_t value) {
-    return Put(key, EncodeInt64(value));
-  }
-  Result<int64_t> GetInt64(std::string_view key, int64_t fallback = 0);
 
   /// Batched ops. Keys are grouped by instance, instances by current host,
   /// and each host gets ONE call for its whole share; results are stitched

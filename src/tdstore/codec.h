@@ -11,8 +11,9 @@
 namespace tencentrec::tdstore {
 
 /// Fixed-width binary encodings for counter values stored in TDStore. The
-/// recommendation algorithms keep itemCount/pairCount/CTR statistics as
-/// doubles; the 8-byte encoding makes server-side atomic increments cheap.
+/// recommendation algorithms keep every counter (itemCount, pairCount,
+/// n_ij, CTR statistics) as a double; the 8-byte encoding makes server-side
+/// atomic increments cheap.
 inline std::string EncodeDouble(double v) {
   std::string out(sizeof(double), '\0');
   std::memcpy(out.data(), &v, sizeof(double));
@@ -34,27 +35,6 @@ inline Result<double> DecodeDouble(std::string_view s) {
 inline void EncodeDoubleTo(std::string* out, double v) {
   out->resize(sizeof(double));
   std::memcpy(out->data(), &v, sizeof(double));
-}
-
-inline std::string EncodeInt64(int64_t v) {
-  std::string out(sizeof(int64_t), '\0');
-  std::memcpy(out.data(), &v, sizeof(int64_t));
-  return out;
-}
-
-inline void EncodeInt64To(std::string* out, int64_t v) {
-  out->resize(sizeof(int64_t));
-  std::memcpy(out->data(), &v, sizeof(int64_t));
-}
-
-inline Result<int64_t> DecodeInt64(std::string_view s) {
-  if (s.size() != sizeof(int64_t)) {
-    return Status::Corruption("bad int64 encoding (size " +
-                              std::to_string(s.size()) + ")");
-  }
-  int64_t v;
-  std::memcpy(&v, s.data(), sizeof(int64_t));
-  return v;
 }
 
 }  // namespace tencentrec::tdstore

@@ -1,7 +1,6 @@
 #include "tdstore/data_server.h"
 
 #include <algorithm>
-#include <type_traits>
 
 #include "common/metrics.h"
 #include "tdstore/codec.h"
@@ -85,14 +84,6 @@ Status DataServer::ClearInstance(int instance_id) {
 
 namespace {
 
-/// A point increment's one item, viewing the caller's key (no copy).
-template <typename T>
-struct PointIncr {
-  int instance_id;
-  std::string_view key;
-  T delta;
-};
-
 /// The put write (point Put and MultiPut): the logged value is the item's.
 struct PutWrite {
   template <typename Item>
@@ -103,43 +94,24 @@ struct PutWrite {
   }
 };
 
-/// The 8-byte counter codecs, by counter type.
-template <typename T>
-Result<T> DecodeCounter(std::string_view s) {
-  if constexpr (std::is_same_v<T, double>) {
-    return DecodeDouble(s);
-  } else {
-    return DecodeInt64(s);
-  }
-}
-template <typename T>
-void EncodeCounterTo(std::string* out, T v) {
-  if constexpr (std::is_same_v<T, double>) {
-    EncodeDoubleTo(out, v);
-  } else {
-    EncodeInt64To(out, v);
-  }
-}
-
-/// The increment write: read-modify-write of one 8-byte counter (missing
+/// The increment write: read-modify-write of one 8-byte double (missing
 /// key = 0), logged as the encoded post-increment value so that replay and
 /// replication overwrite rather than re-add.
-template <typename T>
 struct IncrWrite {
-  template <typename Item>
-  Result<T> operator()(Engine* engine, const Item& item, std::string* scratch,
-                       std::string_view* value) const {
-    T current = 0;
+  Result<double> operator()(Engine* engine, const BatchIncrDouble& item,
+                            std::string* scratch,
+                            std::string_view* value) const {
+    double current = 0.0;
     auto existing = engine->Get(item.key);
     if (existing.ok()) {
-      Result<T> decoded = DecodeCounter<T>(*existing);
+      Result<double> decoded = DecodeDouble(*existing);
       if (!decoded.ok()) return decoded.status();
       current = *decoded;
     } else if (!existing.status().IsNotFound()) {
       return existing.status();
     }
-    const T next = current + item.delta;
-    EncodeCounterTo(scratch, next);
+    const double next = current + item.delta;
+    EncodeDoubleTo(scratch, next);
     TR_RETURN_IF_ERROR(engine->Put(item.key, *scratch));
     *value = *scratch;
     return next;
@@ -247,19 +219,10 @@ Status DataServer::Delete(int instance_id, std::string_view key) {
 
 Result<double> DataServer::IncrDouble(int instance_id, std::string_view key,
                                       double delta) {
-  const PointIncr<double> item{instance_id, key, delta};
+  const BatchIncrDouble item{instance_id, key, delta};
   Result<double> out = Status::Internal("unset");
-  TR_RETURN_IF_ERROR(WriteRuns(&item, 1, /*is_delete=*/false, &out,
-                               IncrWrite<double>()));
-  return out;
-}
-
-Result<int64_t> DataServer::IncrInt64(int instance_id, std::string_view key,
-                                      int64_t delta) {
-  const PointIncr<int64_t> item{instance_id, key, delta};
-  Result<int64_t> out = Status::Internal("unset");
-  TR_RETURN_IF_ERROR(WriteRuns(&item, 1, /*is_delete=*/false, &out,
-                               IncrWrite<int64_t>()));
+  TR_RETURN_IF_ERROR(
+      WriteRuns(&item, 1, /*is_delete=*/false, &out, IncrWrite()));
   return out;
 }
 
@@ -274,7 +237,7 @@ Status DataServer::MultiIncrDouble(const std::vector<BatchIncrDouble>& items,
                                    std::vector<Result<double>>* out) {
   out->assign(items.size(), Result<double>(Status::Internal("unset")));
   return WriteRuns(items.data(), items.size(), /*is_delete=*/false,
-                   out->data(), IncrWrite<double>());
+                   out->data(), IncrWrite());
 }
 
 Result<std::string> DataServer::Get(int instance_id,

@@ -96,9 +96,6 @@ class DataServer {
   /// the per-instance lock makes this safe regardless.
   Result<double> IncrDouble(int instance_id, std::string_view key,
                             double delta);
-  /// Atomic add on an 8-byte int64 value (missing key = 0).
-  Result<int64_t> IncrInt64(int instance_id, std::string_view key,
-                            int64_t delta);
 
   Status ScanPrefix(int instance_id, std::string_view prefix,
                     const std::function<bool(std::string_view,

@@ -77,6 +77,16 @@ std::string EncodeScoredList(const core::Recommendations& list) {
   return out;
 }
 
+std::string EncodeScoredList(const TopK<core::ItemId>& list) {
+  std::string out;
+  PutRaw<uint32_t>(&out, static_cast<uint32_t>(list.size()));
+  for (size_t r = 0; r < list.size(); ++r) {
+    PutRaw<int64_t>(&out, list.id_at(r));
+    PutRaw<double>(&out, list.score_at(r));
+  }
+  return out;
+}
+
 Result<core::Recommendations> DecodeScoredList(std::string_view blob) {
   core::Recommendations list;
   size_t pos = 0;

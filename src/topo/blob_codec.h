@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/topk.h"
 #include "core/content.h"
 #include "core/rating.h"
 #include "core/scored.h"
@@ -19,8 +20,10 @@ namespace tencentrec::topo {
 std::string EncodeUserHistory(const core::UserHistory& history);
 Result<core::UserHistory> DecodeUserHistory(std::string_view blob);
 
-/// Scored list (similar items, hot items, results) <-> blob.
+/// Scored list (similar items, hot items, results) <-> blob. A top-K table
+/// encodes its entries in rank order, as the list of them would.
 std::string EncodeScoredList(const core::Recommendations& list);
+std::string EncodeScoredList(const TopK<core::ItemId>& list);
 Result<core::Recommendations> DecodeScoredList(std::string_view blob);
 
 /// Tag vector <-> blob.

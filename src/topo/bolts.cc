@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/topk.h"
 #include "core/ctr.h"
 #include "core/itemcf/layers.h"
 #include "core/itemcf/window_counts.h"
@@ -16,23 +17,34 @@ namespace tencentrec::topo {
 
 namespace {
 
-/// Upserts (other, score) into a descending scored list capped at `cap`.
-/// Returns true if the list changed.
-bool UpsertScored(core::Recommendations* list, core::ItemId other,
-                  double score, size_t cap) {
-  for (auto& e : *list) {
-    if (e.item == other) {
-      if (e.score == score) return false;
-      e.score = score;
-      std::sort(list->begin(), list->end(), core::ByRank());
-      return true;
+/// `key`'s scored list, read through `cache` into a top-K table of capacity
+/// `k`. An absent or undecodable blob reads as an empty list.
+Result<TopK<core::ItemId>> LoadScoredList(StoreCache* cache,
+                                          const std::string& key, size_t k) {
+  TopK<core::ItemId> list(k);
+  auto blob = cache->Get(key);
+  if (blob.ok()) {
+    auto decoded = DecodeScoredList(*blob);
+    if (decoded.ok()) {
+      for (const core::ScoredItem& s : *decoded) list.Update(s.item, s.score);
+    }
+  } else if (!blob.status().IsNotFound()) {
+    return blob.status();
+  }
+  return list;
+}
+
+/// TopK::Update, reporting whether the list changed: a re-touch at the
+/// entry's current score changes nothing, and neither does a newcomer that
+/// a full list rejects.
+bool UpdateChanges(TopK<core::ItemId>* list, core::ItemId id, double score) {
+  for (size_t r = 0; r < list->size(); ++r) {
+    if (list->id_at(r) == id) {
+      if (list->score_at(r) == score) return false;
+      break;
     }
   }
-  if (list->size() >= cap && score <= list->back().score) return false;
-  list->push_back({other, score});
-  std::sort(list->begin(), list->end(), core::ByRank());
-  if (list->size() > cap) list->resize(cap);
-  return true;
+  return list->Update(id, score);
 }
 
 }  // namespace
@@ -320,8 +332,8 @@ void CfPairBolt::Execute(const tstorm::Tuple& input,
 
   if (!options().enable_pruning) return;
 
-  // Algorithm 1 lines 9–17.
-  auto n = client_->IncrInt64(keys().PairObservations(lo, hi), 1);
+  // Algorithm 1 lines 9–17. n_ij is a double, exact below 2^53.
+  auto n = cache_->AddDouble(keys().PairObservations(lo, hi), 1.0);
   if (!n.ok()) return;
   // An absent threshold reads as 0: the list is not full yet.
   const Result<double> t_lo = WindowPlan::SumOf(read, t_lo_range);
@@ -329,7 +341,8 @@ void CfPairBolt::Execute(const tstorm::Tuple& input,
   if (!t_lo.ok() || !t_hi.ok()) return;
   const double t = std::min(*t_lo, *t_hi);
   if (t <= 0.0) return;
-  if (core::HoeffdingPrunes(hoeffding_ln_inv_delta_, *n, t, sim)) {
+  if (core::HoeffdingPrunes(hoeffding_ln_inv_delta_,
+                            static_cast<int64_t>(*n), t, sim)) {
     cache_->Put(keys().Pruned(lo, hi), "1");
     ++prune_decisions_;
     out.EmitTo(1, tstorm::Tuple::Of({lo, hi}));
@@ -351,46 +364,31 @@ void SimilarListBolt::Execute(const tstorm::Tuple& input,
                   span_name_);
 
   const std::string key = keys().SimilarItems(item);
-  core::Recommendations list;
-  auto blob = cache_->Get(key);
-  if (blob.ok()) {
-    auto decoded = DecodeScoredList(*blob);
-    if (decoded.ok()) list = std::move(decoded).value();
-  } else if (!blob.status().IsNotFound()) {
+  auto list =
+      LoadScoredList(cache_.get(), key, static_cast<size_t>(options().top_k));
+  if (!list.ok()) {
     TR_LOG(kError, "similar list read failed: %s",
-           blob.status().ToString().c_str());
+           list.status().ToString().c_str());
     return;
   }
-
-  bool changed;
-  if (is_prune) {
-    const size_t before = list.size();
-    std::erase_if(list, [&](const core::ScoredItem& s) {
-      return s.item == other;
-    });
-    changed = list.size() != before;
-  } else {
-    const double sim = input.GetDouble(2);
-    changed = UpsertScored(&list, other, sim,
-                           static_cast<size_t>(options().top_k));
-  }
+  const bool changed = is_prune
+                           ? list->Erase(other)
+                           : UpdateChanges(&*list, other, input.GetDouble(2));
   if (!changed) {
     // No-op upsert: the tuple is fully handled, just nothing to write.
     if (!is_prune) AdvanceFreshness(static_cast<uint64_t>(input.GetInt(3)));
     return;
   }
 
-  cache_->Put(key, EncodeScoredList(list));
+  cache_->Put(key, EncodeScoredList(*list));
   if (!is_prune) {
     RecordEventToStore(static_cast<uint64_t>(input.GetInt(3)),
                        static_cast<uint64_t>(input.GetInt(4)));
   }
   // Publish the admission threshold for the pruning stage: the K-th best
   // score once the list is full, else 0 (everything admissible).
-  const double threshold =
-      list.size() >= static_cast<size_t>(options().top_k) ? list.back().score
-                                                          : 0.0;
-  cache_->Put(keys().SimilarThreshold(item), tdstore::EncodeDouble(threshold));
+  cache_->Put(keys().SimilarThreshold(item),
+              tdstore::EncodeDouble(list->Threshold()));
 }
 
 // --- GroupCountBolt ---------------------------------------------------------
@@ -456,19 +454,10 @@ void HotListBolt::Execute(const tstorm::Tuple& input,
   if (!pop.ok()) return;
 
   const std::string key = keys().HotList(static_cast<core::GroupId>(group));
-  core::Recommendations list;
-  auto blob = cache_->Get(key);
-  if (blob.ok()) {
-    auto decoded = DecodeScoredList(*blob);
-    if (decoded.ok()) list = std::move(decoded).value();
-  } else if (!blob.status().IsNotFound()) {
-    return;
-  }
-  if (!UpsertScored(&list, item, *pop,
-                    static_cast<size_t>(options().hot_list_size))) {
-    return;
-  }
-  cache_->Put(key, EncodeScoredList(list));
+  auto list = LoadScoredList(cache_.get(), key,
+                             static_cast<size_t>(options().hot_list_size));
+  if (!list.ok() || !UpdateChanges(&*list, item, *pop)) return;
+  cache_->Put(key, EncodeScoredList(*list));
   RecordEventToStore(static_cast<uint64_t>(input.GetInt(3)),
                      static_cast<uint64_t>(input.GetInt(4)));
 }
@@ -598,11 +587,7 @@ void ResultStorageBolt::Tick(tstorm::OutputCollector& out) {
       ++failures;
       continue;
     }
-    Status s = client_->Put(keys().Results(user), EncodeScoredList(*recs));
-    if (!s.ok()) {
-      ++failures;
-      continue;
-    }
+    cache_->Put(keys().Results(user), EncodeScoredList(*recs));
     ++results_written_;
     // Event -> final recommendation blob: the paper's headline freshness
     // number, measured from the oldest action folded into this refresh.

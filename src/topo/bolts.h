@@ -92,7 +92,8 @@ class StoreBolt : public tstorm::IBolt {
   const AppContext* app_;
   tstorm::TaskContext ctx_;
   std::unique_ptr<tdstore::Client> client_;
-  /// The bolt's write-behind buffer for its read-modify-write state.
+  /// The bolt's write-behind buffer for everything it writes but its
+  /// combiner's counters.
   std::unique_ptr<StoreCache> cache_;
   LatencyHistogram* e2s_ = nullptr;
   /// This instance's event-time watermark register (stage = component name).

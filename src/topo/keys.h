@@ -14,7 +14,7 @@ namespace tencentrec::topo {
 /// algorithms of the same app (§5.1: "multiple algorithms share the
 /// statistical data").
 ///
-/// Session-scoped counters (`ic`, `pc`, `hot`, `ctr`) embed the session id
+/// Session-scoped counters (`ic`, `pc`, `gh`, `ctr`) embed the session id
 /// so the sliding window of Eq. 10 is a prefix sum over live sessions.
 class Keys {
  public:
@@ -40,7 +40,7 @@ class Keys {
            std::to_string(lo) + ":" + std::to_string(hi);
   }
 
-  /// n_ij (int64): observations of the pair (Algorithm 1).
+  /// n_ij (double, exact below 2^53): observations of the pair (Algorithm 1).
   std::string PairObservations(core::ItemId lo, core::ItemId hi) const {
     return "po:" + app_ + ":" + std::to_string(lo) + ":" + std::to_string(hi);
   }

@@ -14,11 +14,12 @@ namespace tencentrec::topo {
 
 /// Fine-grained read-through, write-behind cache in front of a TDStore
 /// client (§5.2, temporal burst events), and its bolt's only write buffer
-/// for read-modify-write state (histories, pair counts, lists, thresholds);
-/// write-only counters bypass it through the combiner. Cached "in the
-/// granularity of data instance, i.e., a key-value pair"; consistency holds
-/// because stream grouping sends all tuples for a key to the same worker,
-/// making each cached key single-writer and the cached copy authoritative.
+/// for read-modify-write state (histories, pair counts, n_ij, prune flags,
+/// lists, thresholds) and materialized results; write-only counters bypass
+/// it through the combiner. Cached "in the granularity of data instance,
+/// i.e., a key-value pair"; consistency holds because stream grouping sends
+/// all tuples for a key to the same worker, making each cached key
+/// single-writer and the cached copy authoritative.
 ///
 /// Writes are WRITE-BEHIND: Put/AddDouble update the entry and mark it
 /// dirty instead of issuing a point call per key. Flush() ships every dirty

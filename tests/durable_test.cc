@@ -459,7 +459,7 @@ TEST(ClusterDurable, RecoversSnapshotPlusWalReplay) {
     // Post-checkpoint traffic lives only in the WAL.
     ASSERT_TRUE((*cluster)->data_server(0)->Put(2, "post", "wal").ok());
     ASSERT_TRUE(
-        (*cluster)->data_server(1)->IncrInt64(1, "count", 5).status().ok());
+        (*cluster)->data_server(1)->IncrDouble(1, "count", 5.0).status().ok());
     ASSERT_TRUE((*cluster)->data_server(1)->Delete(1, "pre1").ok());
     ASSERT_TRUE((*cluster)->CommitBarrier(2).ok());
     // Uncommitted tail: no barrier after it — recovery must drop it.
@@ -472,9 +472,9 @@ TEST(ClusterDurable, RecoversSnapshotPlusWalReplay) {
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(*v, "snap");
   EXPECT_TRUE((*recovered)->data_server(0)->Get(2, "post").ok());
-  auto count = (*recovered)->data_server(1)->IncrInt64(1, "count", 0);
+  auto count = (*recovered)->data_server(1)->IncrDouble(1, "count", 0.0);
   ASSERT_TRUE(count.ok());
-  EXPECT_EQ(*count, 5);
+  EXPECT_EQ(*count, 5.0);
   EXPECT_TRUE(
       (*recovered)->data_server(1)->Get(1, "pre1").status().IsNotFound());
   EXPECT_TRUE(
@@ -564,8 +564,8 @@ std::map<std::string, std::string> DumpInstances(tdstore::Cluster* store,
   return out;
 }
 
-/// Drives every client write entry point: point Put, Delete, IncrDouble and
-/// IncrInt64, then MultiPut and MultiIncrDouble with same-key runs and one
+/// Drives every client write entry point: point Put, Delete and IncrDouble,
+/// then MultiPut and MultiIncrDouble with same-key runs and one
 /// per-item failure. Run twice over one cluster, the second pass overwrites,
 /// increments and deletes what the first one wrote.
 void DriveEveryWriteEntryPoint(tdstore::Client* client) {
@@ -576,7 +576,6 @@ void DriveEveryWriteEntryPoint(tdstore::Client* client) {
     ASSERT_TRUE(
         client->IncrDouble("dbl:" + std::to_string(i % 7), 0.1 * (i + 1))
             .ok());
-    ASSERT_TRUE(client->IncrInt64("int:" + std::to_string(i % 5), i - 3).ok());
     if (i % 3 == 0) {
       ASSERT_TRUE(client->Delete("put:" + k).ok());
     }
@@ -680,9 +679,8 @@ TEST(ClusterDurable, OneWalRecordPerPointOpAndPerSameInstanceRun) {
   ASSERT_TRUE(host.Put(1, "a", "1").ok());
   ASSERT_TRUE(host.Delete(1, "a").ok());
   ASSERT_TRUE(host.IncrDouble(2, "d", 1.5).ok());
-  ASSERT_TRUE(host.IncrInt64(2, "i", 3).ok());
-  EXPECT_EQ(wal->record_count(), 4u);
-  EXPECT_EQ(host.PendingReplication(), 4u);
+  EXPECT_EQ(wal->record_count(), 3u);
+  EXPECT_EQ(host.PendingReplication(), 3u);
 
   // Runs {1, 1}, {2}, {3: refused} and {1}: three records of four ops.
   const std::vector<tdstore::BatchPut> puts = {
@@ -690,8 +688,8 @@ TEST(ClusterDurable, OneWalRecordPerPointOpAndPerSameInstanceRun) {
   std::vector<Status> put_out;
   ASSERT_TRUE(host.MultiPut(puts, &put_out).ok());
   EXPECT_TRUE(put_out[3].IsUnavailable());
-  EXPECT_EQ(wal->record_count(), 7u);
-  EXPECT_EQ(host.PendingReplication(), 8u);
+  EXPECT_EQ(wal->record_count(), 6u);
+  EXPECT_EQ(host.PendingReplication(), 7u);
 
   // A run whose every item fails logs and replicates nothing.
   ASSERT_TRUE(host.Put(2, "bad", "not-a-double").ok());
@@ -699,8 +697,8 @@ TEST(ClusterDurable, OneWalRecordPerPointOpAndPerSameInstanceRun) {
   std::vector<Result<double>> add_out;
   ASSERT_TRUE(host.MultiIncrDouble(adds, &add_out).ok());
   EXPECT_TRUE(add_out[0].status().IsCorruption());
-  EXPECT_EQ(wal->record_count(), 8u);
-  EXPECT_EQ(host.PendingReplication(), 9u);
+  EXPECT_EQ(wal->record_count(), 7u);
+  EXPECT_EQ(host.PendingReplication(), 8u);
 }
 
 // ---------------------------------------------------------------------------

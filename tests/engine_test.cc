@@ -211,6 +211,37 @@ TEST(EngineTest, MaterializedResults) {
   EXPECT_TRUE(none->empty());
 }
 
+TEST(EngineTest, BoltsIssueNoPointWrites) {
+  // Every bolt write goes through its write-behind StoreCache or its
+  // Combiner, both of which ship batched calls. Every point Put, Delete and
+  // IncrDouble records in tdstore.client.write_us, so a batch that moves
+  // its count issued a point write somewhere in the topology.
+  SetMetricsEnabled(true);
+  TencentRec::Options options = BaseOptions("nopoint");
+  options.app.enable_pruning = true;
+  options.materialize_results = true;
+  auto engine = TencentRec::Create(options);
+  ASSERT_TRUE(engine.ok());
+  LatencyHistogram* point_writes =
+      MetricRegistry::Default().GetHistogram("tdstore.client.write_us");
+  const uint64_t before = point_writes->Snap().count;
+  ASSERT_TRUE((*engine)->ProcessBatch(CliqueTraffic()).ok());
+  EXPECT_EQ(point_writes->Snap().count, before);
+
+  // n_ij and the materialized results did land, through the batched path.
+  tdstore::Client client((*engine)->store());
+  auto count_keys = [&client](const std::string& prefix) {
+    int64_t keys = 0;
+    (void)client.ScanPrefix(prefix, [&](std::string_view, std::string_view) {
+      ++keys;
+      return true;
+    });
+    return keys;
+  };
+  EXPECT_GT(count_keys("po:nopoint:"), 0);
+  EXPECT_GT(count_keys("rec:nopoint:"), 0);
+}
+
 TEST(EngineTest, SlidingWindowStateExpires) {
   TencentRec::Options options = BaseOptions("windowed");
   options.app.session_length = Hours(1);

@@ -340,11 +340,6 @@ TEST(ClusterTest, TypedCounters) {
   ASSERT_TRUE(read.ok());
   EXPECT_DOUBLE_EQ(*read, 4.0);
   EXPECT_DOUBLE_EQ(client.GetDouble("absent", 7.0).value(), 7.0);
-
-  auto i1 = client.IncrInt64("icounter", 10);
-  ASSERT_TRUE(i1.ok());
-  EXPECT_EQ(*i1, 10);
-  EXPECT_EQ(client.IncrInt64("icounter", -3).value(), 7);
 }
 
 TEST(ClusterTest, MultiGet) {

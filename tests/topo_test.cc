@@ -4,6 +4,7 @@
 
 #include "common/metrics.h"
 #include "common/random.h"
+#include "common/topk.h"
 #include "core/itemcf/item_cf.h"
 #include "engine/tencentrec.h"
 #include "topo/action_codec.h"
@@ -507,22 +508,19 @@ TEST(CfPairBoltTest, PairTouchReadsCountsAndThresholdsOncePerHost) {
   const tstorm::Tuple touch = tstorm::Tuple::Of(
       {kLo, kHi, 1.0, int64_t{ts}, int64_t{0}, int64_t{0}});
   // The first touch warms the cache with the bolt's own keys (prune flag,
-  // pairCount sessions); the second costs only the grouped read and the
-  // observation increment.
+  // pairCount sessions, n_ij); the second costs only the grouped read.
   bolt.Execute(touch, {}, out);
   for (int s = 0; s < 3; ++s) (*cluster)->data_server(s)->ResetCounters();
   out.emitted.clear();
   bolt.Execute(touch, {}, out);
 
-  const int incr_host =
-      route.PlacementOf(app.keys.PairObservations(kLo, kHi)).host_server;
   int64_t total = 0;
   for (int s = 0; s < 3; ++s) {
     const int64_t calls = (*cluster)->data_server(s)->invocations();
     total += calls;
-    EXPECT_LE(calls - (s == incr_host ? 1 : 0), 1) << "server " << s;
+    EXPECT_LE(calls, 1) << "server " << s;
   }
-  EXPECT_EQ(total, static_cast<int64_t>(read_hosts.size()) + 1);
+  EXPECT_EQ(total, static_cast<int64_t>(read_hosts.size()));
   ASSERT_EQ(out.emitted.size(), 2u);
   for (const auto& [stream, tuple] : out.emitted) {
     EXPECT_EQ(stream, 0);  // sim_update
@@ -530,6 +528,40 @@ TEST(CfPairBoltTest, PairTouchReadsCountsAndThresholdsOncePerHost) {
   }
   EXPECT_EQ(bolt.prune_decisions(), 0);
   bolt.Cleanup();
+}
+
+TEST(CfPairBoltTest, PairObservationsStageInTheCache) {
+  // n_ij is the pair bolt's own key, as its pairCounts are: fields grouping
+  // makes the bolt its one writer, so it stages in the write-behind cache
+  // and reaches the store with the Cleanup flush, not per touch.
+  tdstore::Cluster::Options store_options;
+  store_options.num_data_servers = 2;
+  store_options.num_instances = 4;
+  auto cluster = tdstore::Cluster::Create(store_options);
+  ASSERT_TRUE(cluster.ok());
+  AppOptions options;
+  options.app = "observed";
+  options.enable_pruning = true;
+  AppContext app(cluster->get(), options);
+  tdstore::Client seed(cluster->get());
+  constexpr ItemId kLo = 3, kHi = 9;
+  ASSERT_TRUE(seed.PutDouble(app.keys.ItemCount(0, kLo), 4.0).ok());
+  ASSERT_TRUE(seed.PutDouble(app.keys.ItemCount(0, kHi), 4.0).ok());
+
+  CfPairBolt bolt(&app);
+  tstorm::TaskContext ctx;
+  ctx.component_name = "cf_pair";
+  static_cast<StoreBolt&>(bolt).Prepare(ctx);  // CfPairBolt's is private
+  RecordingCollector out;
+  const tstorm::Tuple touch = tstorm::Tuple::Of(
+      {kLo, kHi, 1.0, int64_t{0}, int64_t{0}, int64_t{0}});
+  bolt.Execute(touch, {}, out);  // pc 1 over ic 4, 4
+  bolt.Execute(touch, {}, out);  // pc 2 over ic 4, 4
+  ASSERT_EQ(out.emitted.size(), 4u);  // both touches scored
+  const std::string key = app.keys.PairObservations(kLo, kHi);
+  EXPECT_TRUE(seed.Get(key).status().IsNotFound());
+  bolt.Cleanup();
+  EXPECT_EQ(seed.GetDouble(key, -1.0).value(), 2.0);
 }
 
 TEST(HotListBoltTest, HotTouchReadsThePopularityWindowOncePerHost) {
@@ -594,6 +626,138 @@ TEST(HotListBoltTest, HotTouchReadsThePopularityWindowOncePerHost) {
   ASSERT_EQ(list->size(), 1u);
   EXPECT_EQ((*list)[0].item, kItem);
   EXPECT_EQ((*list)[0].score, popularity);
+}
+
+// --- list bolts against TopK ------------------------------------------------
+
+/// One scripted list tuple: an upsert of (other, score), or a prune of
+/// `other`, and whether the list bolt must stage nothing for it.
+struct ListStep {
+  ItemId other = 0;
+  double score = 0.0;
+  bool prune = false;
+  bool no_op = false;
+};
+
+/// The blob the list bolts must hold for `list`: its entries in rank order,
+/// encoded as a plain list, so the check does not rest on the bolts' own
+/// TopK encoder.
+std::string EncodeRanked(const TopK<ItemId>& list) {
+  core::Recommendations ranked;
+  for (const auto& e : list.entries()) ranked.push_back({e.id, e.score});
+  return EncodeScoredList(ranked);
+}
+
+/// The scripted sequence both list bolts replay at capacity 3: ties at the
+/// threshold, a re-touch with the same score, newcomers that a full list
+/// rejects, and (for the similar list) prunes, the last of which reopens a
+/// full list's threshold to 0.
+std::vector<ListStep> ListScript(bool with_prunes) {
+  std::vector<ListStep> steps = {
+      {10, 0.5},                  // first entry
+      {11, 0.5},                  // ties rank by id
+      {12, 0.5},                  // the list is full at threshold 0.5
+      {13, 0.5, false, true},     // a tie at the threshold is rejected
+      {11, 0.5, false, true},     // a re-touch with the same score
+      {14, 0.25, false, true},    // below a full list's worst entry
+      {12, 0.75},                 // a re-touch with a new score moves up
+      {15, 0.625},                // beats the worst entry (11) and evicts it
+      {10, 0.5, false, true},     // 10 is the worst entry now, unchanged
+  };
+  if (with_prunes) {
+    steps.push_back({99, 0.0, true, true});  // prune of an absent entry
+    steps.push_back({15, 0.0, true});        // reopens the threshold to 0
+    steps.push_back({16, 0.125});            // refills, threshold 0.125
+  }
+  return steps;
+}
+
+TEST(SimilarListBoltTest, ListAndThresholdFollowTopK) {
+  SetMetricsEnabled(true);
+  tdstore::Cluster::Options store_options;
+  store_options.num_data_servers = 2;
+  store_options.num_instances = 4;
+  auto cluster = tdstore::Cluster::Create(store_options);
+  ASSERT_TRUE(cluster.ok());
+  AppOptions options;
+  options.app = "simlist";
+  options.top_k = 3;
+  AppContext app(cluster->get(), options);
+  constexpr ItemId kItem = 7;
+  SimilarListBolt bolt(&app);
+  tstorm::TaskContext ctx;
+  ctx.component_name = "similar_list";
+  bolt.Prepare(ctx);
+  Counter* staged =
+      MetricRegistry::Default().GetCounter("topo.store_cache.staged_ops");
+  tdstore::Client store(cluster->get());
+  TopK<ItemId> expected(3);
+  NullCollector out;
+  int step = 0;
+  for (const ListStep& s : ListScript(/*with_prunes=*/true)) {
+    SCOPED_TRACE("step " + std::to_string(step++));
+    const uint64_t before = staged->Value();
+    if (s.prune) {
+      bolt.Execute(tstorm::Tuple::Of({kItem, s.other}), {}, out);
+      expected.Erase(s.other);
+    } else {
+      bolt.Execute(tstorm::Tuple::Of({kItem, s.other, s.score, int64_t{0},
+                                      int64_t{0}}),
+                   {}, out);
+      expected.Update(s.other, s.score);
+    }
+    // A change stages the list and its threshold; a no-op stages nothing.
+    EXPECT_EQ(staged->Value() - before, s.no_op ? 0u : 2u);
+    bolt.Cleanup();
+    auto blob = store.Get(app.keys.SimilarItems(kItem));
+    ASSERT_TRUE(blob.ok());
+    EXPECT_EQ(*blob, EncodeRanked(expected));
+    EXPECT_EQ(store.GetDouble(app.keys.SimilarThreshold(kItem), -1.0).value(),
+              expected.Threshold());
+  }
+  // The script ends on a full list: 12 (0.75), 10 (0.5), 16 (0.125).
+  ASSERT_EQ(expected.size(), 3u);
+  EXPECT_EQ(expected.Threshold(), 0.125);
+}
+
+TEST(HotListBoltTest, HotListFollowsTopK) {
+  SetMetricsEnabled(true);
+  tdstore::Cluster::Options store_options;
+  store_options.num_data_servers = 2;
+  store_options.num_instances = 4;
+  auto cluster = tdstore::Cluster::Create(store_options);
+  ASSERT_TRUE(cluster.ok());
+  AppOptions options;
+  options.app = "hotlist";
+  options.hot_list_size = 3;
+  AppContext app(cluster->get(), options);
+  constexpr core::GroupId kGroup = 4;
+  HotListBolt bolt(&app);
+  tstorm::TaskContext ctx;
+  ctx.component_name = "hot_list";
+  bolt.Prepare(ctx);
+  Counter* staged =
+      MetricRegistry::Default().GetCounter("topo.store_cache.staged_ops");
+  tdstore::Client store(cluster->get());
+  TopK<ItemId> expected(3);
+  NullCollector out;
+  int step = 0;
+  for (const ListStep& s : ListScript(/*with_prunes=*/false)) {
+    SCOPED_TRACE("step " + std::to_string(step++));
+    // The touch's score is the item's popularity count, read from the store.
+    ASSERT_TRUE(
+        store.PutDouble(app.keys.GroupHot(kGroup, 0, s.other), s.score).ok());
+    const uint64_t before = staged->Value();
+    bolt.Execute(tstorm::Tuple::Of({int64_t{kGroup}, s.other, int64_t{0},
+                                    int64_t{0}, int64_t{0}}),
+                 {}, out);
+    expected.Update(s.other, s.score);
+    EXPECT_EQ(staged->Value() - before, s.no_op ? 0u : 1u);
+    bolt.Cleanup();
+    auto blob = store.Get(app.keys.HotList(kGroup));
+    ASSERT_TRUE(blob.ok());
+    EXPECT_EQ(*blob, EncodeRanked(expected));
+  }
 }
 
 TEST(CfPairBoltTest, WindowedScoreAboveOneMatchesTheKernel) {
