@@ -11,8 +11,8 @@
 #      round-trips, and the kill-mid-stream SIGKILL recovery test must pass
 #      standalone, not only interleaved with the suite);
 #   4. an AddressSanitizer+UBSan build running the `itemcf`, `query`,
-#      `store`, `topo`, `tstorm` and `engine` labels (the raw-memory flat
-#      tables, arena scratch, and SoA TopK of DESIGN.md §15, the
+#      `store`, `topo`, `tstorm`, `engine` and `examples` labels (the
+#      raw-memory flat tables, arena scratch, and SoA TopK of DESIGN.md §15, the
 #      planned-read query path of §11, the store's run loop, WAL and
 #      replication of §10/§14 — `store` includes durable_test — the
 #      byte-string table under the MDB/RDB/FDB engines and the Combiner of
@@ -21,7 +21,9 @@
 #      query_batch_test, the tuple runs of §17, whose envelope storage is
 #      recycled by hand, in tstorm_test, and the engine end to end in
 #      engine_test: every bolt, materialized results, pruning and
-#      ProcessFromAccess over TDStore);
+#      ProcessFromAccess over TDStore, and the six examples/ binaries,
+#      each of which must exit 0: video_site's store-backed RecommendCf,
+#      quickstart's hybrid, operations' full deployment and mirror);
 #   5. a ThreadSanitizer build running the `concurrent` and `topo` labels
 #      (sharded executor, striped histogram/tracer, batch clients,
 #      single-flight, MDB readers against a writer on the §16 table, the
@@ -57,10 +59,10 @@ echo "=== durable: WAL/snapshot recovery incl. kill-mid-stream ==="
 if [[ "${TR_SKIP_ASAN:-0}" == "1" ]]; then
   echo "=== asan: skipped (TR_SKIP_ASAN=1) ==="
 else
-  echo "=== asan: itemcf + query + store + topo + tstorm + engine labels under AddressSanitizer+UBSan ==="
+  echo "=== asan: itemcf + query + store + topo + tstorm + engine + examples labels under AddressSanitizer+UBSan ==="
   cmake -B "$asan_dir" -S "$repo_root" -DTR_SANITIZE_ADDRESS=ON
   cmake --build "$asan_dir" -j "$(nproc)"
-  (cd "$asan_dir" && ctest -L 'itemcf|query|store|topo|tstorm|engine' --output-on-failure)
+  (cd "$asan_dir" && ctest -L 'itemcf|query|store|topo|tstorm|engine|examples' --output-on-failure)
 fi
 
 if [[ "${TR_SKIP_TSAN:-0}" == "1" ]]; then

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 namespace tencentrec {
@@ -28,7 +29,9 @@ namespace tencentrec {
 ///    one lane matches);
 ///  - Update is that scan plus a single-pass sift to the entry's new rank
 ///    (replacing the old sort-the-whole-table-per-call);
-///  - Threshold is O(1): the last slot holds the rank-K entry.
+///  - Threshold is O(1): the last slot holds the rank-K entry;
+///  - Load rebuilds a table from its own rank-order listing (a decoded
+///    blob) in O(K), with no membership scan per entry.
 template <typename Id>
 class TopK {
  public:
@@ -66,6 +69,37 @@ class TopK {
     scores_[n - 1] = score;
     Sift(n - 1);
     return true;
+  }
+
+  /// Replaces the entries with the table that Update over `n` entries
+  /// builds, `next()` yielding each Entry in turn. An entry that ranks after
+  /// every one loaded and whose id is new, as a table's own rank-order
+  /// listing yields them, appends in O(1); any other goes through Update.
+  /// A 256-bit filter of hashed ids proves most ids new without a scan.
+  template <typename NextFn>
+  void Load(size_t n, NextFn&& next) {
+    ids_.clear();
+    scores_.clear();
+    uint64_t seen[4] = {};
+    for (size_t i = 0; i < n; ++i) {
+      const Entry e = next();
+      const size_t h = (std::hash<Id>{}(e.id) * 0x9E3779B97F4A7C15ull) >> 56;
+      const uint64_t bit = uint64_t{1} << (h & 63);
+      const bool fresh = (seen[h >> 6] & bit) == 0 || !Contains(e.id);
+      seen[h >> 6] |= bit;
+      const size_t m = ids_.size();
+      if (fresh &&
+          (m == 0 || RankBefore(scores_[m - 1], ids_[m - 1], e.score, e.id))) {
+        // A full table rejects an entry that ranks after its last, as
+        // Update does.
+        if (m < k_) {
+          ids_.push_back(e.id);
+          scores_.push_back(e.score);
+        }
+        continue;
+      }
+      Update(e.id, e.score);
+    }
   }
 
   /// Removes `id` if present; returns true when an entry was removed.

@@ -52,9 +52,12 @@ class PracticalItemCf {
   }
 
   /// Predicts ratings for unseen items and returns the best `n` (Eq. 2,
-  /// with N_k(i_p) replaced by the user's recent-k items per §4.3). Items
-  /// the user already rated are excluded. May return fewer than `n`; the
-  /// caller complements with the DB algorithm (HybridRecommender does).
+  /// with N_k(i_p) replaced by the user's recent-k items per §4.3): each
+  /// candidate sums over the recent items whose similar list holds it,
+  /// weighted by EffectiveSimilarity (core::CollectTerms, ScoreTerms) —
+  /// the rule topo::StoreQuery::RecommendCf serves by. Items the user
+  /// already rated are excluded. May return fewer than `n`; the caller
+  /// complements with the DB algorithm (HybridRecommender does).
   Recommendations RecommendForUser(UserId user, size_t n) const;
 
   /// The user's recent-k item set (exposed for the hybrid recommender).

@@ -173,17 +173,24 @@ class UserLayer {
     return history == nullptr ? 0.0 : history->RatingOf(item);
   }
 
-  /// Eq. 2 over the user's recent-k items (PredictFromRecent), with
-  /// candidates from `similar_items(ItemId) -> const TopK<ItemId>*` and
-  /// scores from `effective_sim(ItemId, ItemId) -> double`.
+  /// Eq. 2 over the user's recent-k items (CollectTerms, then ScoreTerms),
+  /// with terms from `similar_items(ItemId) -> const TopK<ItemId>*` and
+  /// each weighted by `effective_sim(ItemId, ItemId) -> double`.
   template <typename SimilarItemsFn, typename EffectiveSimFn>
   Recommendations RecommendForUser(UserId user, size_t n,
                                    SimilarItemsFn&& similar_items,
                                    EffectiveSimFn&& effective_sim) const {
     const UserHistory* history = histories_.Find(PackUser(user));
     if (history == nullptr) return {};
-    return PredictFromRecent(*history, RecentOf(*history), similar_items,
-                             effective_sim, n);
+    const std::vector<ItemId> recent = RecentOf(*history);
+    thread_local PredictionTerms terms;
+    CollectTerms(*history, recent,
+                 [&](size_t r) { return similar_items(recent[r]); }, &terms);
+    return ScoreTerms(*history, recent, terms, [&](size_t t) {
+      const PredictionTerms::Term& term = terms.terms[t];
+      return effective_sim(terms.candidates[term.candidate],
+                           recent[term.recent]);
+    }, n);
   }
 
   const ItemCfStats& stats() const { return stats_; }

@@ -2,86 +2,94 @@
 #define TENCENTREC_CORE_ITEMCF_PREDICT_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/flat_map.h"
 #include "common/topk.h"
+#include "core/itemcf/pair_key.h"
 #include "core/rating.h"
 #include "core/scored.h"
 
 namespace tencentrec::core {
 
-/// Real-time personalized prediction (Eq. 2 restricted to the user's
-/// recent-k items, §4.3), shared by the single-process reference
-/// (PracticalItemCf) and the sharded executor (ParallelItemCf) so the two
-/// implementations are prediction-identical by construction.
-///
-/// `similar_items(ItemId) -> const TopK<ItemId>*` supplies candidate
-/// generation (nullptr when the item has no list yet);
-/// `effective_sim(ItemId, ItemId) -> double` supplies the current
-/// (shrinkage-adjusted) similarity used for scoring.
-///
-/// Scratch (candidate set, rating cache, scored buffer) lives in a
-/// thread-local arena reset per call: steady-state queries allocate only
-/// the returned Recommendations vector. Thread-local because the sharded
-/// executor serves this from concurrent query threads.
-template <typename SimilarItemsFn, typename EffectiveSimFn>
-Recommendations PredictFromRecent(const UserHistory& history,
-                                  const std::vector<ItemId>& recent,
-                                  SimilarItemsFn&& similar_items,
-                                  EffectiveSimFn&& effective_sim, size_t n) {
-  if (recent.empty()) return {};
-
-  struct Scratch {
-    Arena arena;
-    FlatSet64 seen;
+/// The terms of Eq. 2 over a user's recent-k items (§4.3), the one rule
+/// both serving paths score by: the in-memory kernels
+/// (UserLayer::RecommendForUser) and topo::StoreQuery::RecommendCf, which
+/// plans its grouped read of counts between CollectTerms and ScoreTerms. A
+/// candidate is an unrated item on a recent item's similar list; its terms
+/// are exactly the recent items whose list holds it, so a pair Algorithm 1
+/// pruned, or a co-rated item a full list left out, adds no term.
+struct PredictionTerms {
+  struct Term {
+    uint32_t candidate;  ///< index into `candidates`
+    uint32_t recent;     ///< index into the `recent` items
   };
-  thread_local Scratch scratch;
-  scratch.arena.Reset();
-  scratch.seen.Clear();
+  std::vector<ItemId> candidates;  ///< first-seen order
+  /// Recent-major, so each candidate's terms come in `recent` order. No
+  /// item pair repeats, even unordered: a list holds an id once, and a
+  /// candidate (unrated) is never a recent item (rated).
+  std::vector<Term> terms;
+};
 
-  // Candidates: similar items of the user's recent items, minus seen ones.
-  // The dedup set keys on the packed id; candidate order is insertion order,
-  // which the total-order sort below makes irrelevant to the output.
-  ArenaVector<ItemId> candidates(&scratch.arena, 64);
-  for (ItemId q : recent) {
-    const TopK<ItemId>* sims = similar_items(q);
-    if (sims == nullptr) continue;
-    const size_t m = sims->size();
-    for (size_t r = 0; r < m; ++r) {
-      if (sims->score_at(r) <= 0.0) continue;
-      const ItemId id = sims->id_at(r);
-      if (!scratch.seen.Insert(PackItem(id))) continue;  // already a candidate
-      if (history.RatingOf(id) > 0.0) continue;  // already rated
-      candidates.push_back(id);
+/// Fills `out` from `list_of(size_t r) -> const TopK<ItemId>*`, the similar
+/// list of `recent[r]` (nullptr: none).
+template <typename ListOfFn>
+void CollectTerms(const UserHistory& history, const std::vector<ItemId>& recent,
+                  ListOfFn&& list_of, PredictionTerms* out) {
+  constexpr uint32_t kRated = ~0u;
+  thread_local FlatMap64<uint32_t> slot;  // packed id -> 1 + candidate index
+  slot.Clear();
+  out->candidates.clear();
+  out->terms.clear();
+  for (uint32_t r = 0; r < recent.size(); ++r) {
+    const TopK<ItemId>* list = list_of(r);
+    if (list == nullptr) continue;
+    for (size_t i = 0; i < list->size(); ++i) {
+      const ItemId p = list->id_at(i);
+      uint32_t& s = slot[PackItem(p)];
+      if (s == 0) {
+        const bool rated = history.RatingOf(p) > 0.0;
+        if (!rated) out->candidates.push_back(p);
+        s = rated ? kRated : static_cast<uint32_t>(out->candidates.size());
+      }
+      if (s != kRated) out->terms.push_back({s - 1, r});
     }
   }
-  if (candidates.empty()) return {};
+}
 
-  // Eq. 2 restricted to the recent-k set: weighted average of the user's
-  // ratings on recent items, weighted by current similarity. The recent
-  // ratings are invariant across candidates — look each up once, not once
-  // per (candidate, recent) pair.
-  ArenaVector<double> recent_ratings(&scratch.arena, recent.size());
-  for (ItemId q : recent) recent_ratings.push_back(history.RatingOf(q));
-  ArenaVector<ScoredItem> scored(&scratch.arena, candidates.size());
-  for (ItemId p : candidates) {
-    double num = 0.0;
-    double den = 0.0;
-    for (size_t qi = 0; qi < recent.size(); ++qi) {
-      const double sim = effective_sim(p, recent[qi]);
-      if (sim <= 0.0) continue;
-      num += sim * recent_ratings[qi];
-      den += sim;
-    }
-    if (den <= 0.0) continue;
-    scored.push_back({p, PredictedScore(num, den)});
+/// Eq. 2 over `terms`: each candidate's Σ w·r / Σ w over its terms, summed
+/// in `recent` order, where w = `weight(t) -> double` is term t's
+/// similarity and r the user's rating of its recent item, ranked by
+/// PredictedScore. A w ≤ 0 adds nothing; a NaN w, which a caller returns
+/// for a count it could not read, drops its candidate. Returns the best `n`
+/// in ByRank order. Scratch is thread-local: the sharded executor serves
+/// from concurrent query threads.
+template <typename WeightFn>
+Recommendations ScoreTerms(const UserHistory& history,
+                           const std::vector<ItemId>& recent,
+                           const PredictionTerms& terms, WeightFn&& weight,
+                           size_t n) {
+  thread_local std::vector<double> rating, num, den;
+  rating.clear();
+  for (ItemId q : recent) rating.push_back(history.RatingOf(q));
+  num.assign(terms.candidates.size(), 0.0);
+  den.assign(terms.candidates.size(), 0.0);
+  for (size_t t = 0; t < terms.terms.size(); ++t) {
+    const double w = weight(t);
+    if (w <= 0.0) continue;
+    num[terms.terms[t].candidate] += w * rating[terms.terms[t].recent];
+    den[terms.terms[t].candidate] += w;
+  }
+  Recommendations scored;
+  scored.reserve(terms.candidates.size());
+  for (size_t c = 0; c < terms.candidates.size(); ++c) {
+    if (!(den[c] > 0.0)) continue;  // no positive term, or a NaN one
+    scored.push_back({terms.candidates[c], PredictedScore(num[c], den[c])});
   }
   std::sort(scored.begin(), scored.end(), ByRank());
-  const size_t take = std::min(n, scored.size());
-  Recommendations out(scored.begin(), scored.begin() + take);
-  return out;
+  if (scored.size() > n) scored.resize(n);
+  return scored;
 }
 
 }  // namespace tencentrec::core

@@ -31,7 +31,9 @@ struct ByRank {
 
 /// Eq. 2's predicted rating num/den (Σ sim·r over Σ sim), tilted by the
 /// similarity mass so that a candidate related to several of the user's
-/// items beats one related to a single item with the same prediction.
+/// items beats one related to a single item with the same prediction. Item
+/// CF's serving paths reach it only through core::ScoreTerms
+/// (core/itemcf/predict.h); BasicItemCf and UserBasedCf call it directly.
 inline double PredictedScore(double num, double den) {
   return (num / den) * (1.0 + std::log1p(den));
 }

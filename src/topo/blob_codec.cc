@@ -106,6 +106,25 @@ Result<core::Recommendations> DecodeScoredList(std::string_view blob) {
   return list;
 }
 
+Result<TopK<core::ItemId>> DecodeScoredList(std::string_view blob, size_t k) {
+  size_t pos = 0;
+  uint32_t count = 0;
+  if (!GetRaw(blob, &pos, &count)) {
+    return Status::Corruption("scored list: bad header");
+  }
+  if (blob.size() - pos != static_cast<size_t>(count) * 16) {
+    return Status::Corruption("scored list: size mismatch");
+  }
+  TopK<core::ItemId> list(k);
+  list.Load(count, [&] {
+    TopK<core::ItemId>::Entry e;
+    GetRaw(blob, &pos, &e.id);
+    GetRaw(blob, &pos, &e.score);
+    return e;
+  });
+  return list;
+}
+
 std::string EncodeTagVector(const core::TagVector& tags) {
   std::string out;
   PutRaw<uint32_t>(&out, static_cast<uint32_t>(tags.size()));

@@ -21,10 +21,13 @@ std::string EncodeUserHistory(const core::UserHistory& history);
 Result<core::UserHistory> DecodeUserHistory(std::string_view blob);
 
 /// Scored list (similar items, hot items, results) <-> blob. A top-K table
-/// encodes its entries in rank order, as the list of them would.
+/// encodes its entries in rank order, as the list of them would, and
+/// decodes into a table of capacity `k` with TopK::Load: the table Update
+/// over the entries builds, in O(k) for a blob a table encoded.
 std::string EncodeScoredList(const core::Recommendations& list);
 std::string EncodeScoredList(const TopK<core::ItemId>& list);
 Result<core::Recommendations> DecodeScoredList(std::string_view blob);
+Result<TopK<core::ItemId>> DecodeScoredList(std::string_view blob, size_t k);
 
 /// Tag vector <-> blob.
 std::string EncodeTagVector(const core::TagVector& tags);

@@ -21,17 +21,14 @@ namespace {
 /// `k`. An absent or undecodable blob reads as an empty list.
 Result<TopK<core::ItemId>> LoadScoredList(StoreCache* cache,
                                           const std::string& key, size_t k) {
-  TopK<core::ItemId> list(k);
   auto blob = cache->Get(key);
   if (blob.ok()) {
-    auto decoded = DecodeScoredList(*blob);
-    if (decoded.ok()) {
-      for (const core::ScoredItem& s : *decoded) list.Update(s.item, s.score);
-    }
+    auto decoded = DecodeScoredList(*blob, k);
+    if (decoded.ok()) return decoded;
   } else if (!blob.status().IsNotFound()) {
     return blob.status();
   }
-  return list;
+  return TopK<core::ItemId>(k);
 }
 
 /// TopK::Update, reporting whether the list changed: a re-touch at the

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "core/ctr.h"
+#include "core/itemcf/predict.h"
 #include "core/itemcf/window_counts.h"
 #include "topo/window_plan.h"
 
@@ -125,112 +126,93 @@ Result<core::Recommendations> StoreQuery::RecommendCf(core::UserId user,
       recent_k > 0 ? static_cast<size_t>(recent_k) : history->size());
   if (recent.empty()) return core::Recommendations{};
 
-  // The sim:<item> lists are the candidate index; scores are recomputed
-  // from the *current* windowed counts (the "algorithm computation part
-  // reads statistical data from TDStore" split of §5.1). This also heals
-  // any staleness from the decoupled statistics paths — a pair whose
-  // similarity was computed before the itemCount combiner flushed scores
-  // correctly here.
+  // Eq. 2 by the kernels' rule (core::CollectTerms, core::ScoreTerms): the
+  // sim:<q> lists give the terms, and each term weighs Eq. 5 over the
+  // *current* windowed counts (the "algorithm computation part reads
+  // statistical data from TDStore" split of §5.1). This also heals any
+  // staleness from the decoupled statistics paths — a pair whose list score
+  // was computed before the itemCount combiner flushed scores correctly.
   //
-  // Stage 1: every sim:<q> candidate list in one deduped grouped read.
+  // Stage 1: every sim:<q> list in one deduped grouped read.
   std::vector<std::string> sim_keys;
   sim_keys.reserve(recent.size());
   for (core::ItemId q : recent) sim_keys.push_back(app_->keys.SimilarItems(q));
   std::vector<Result<std::string>> sim_blobs;
   TR_RETURN_IF_ERROR(FetchMany(sim_keys, &sim_blobs));
-
-  std::unordered_map<core::ItemId, std::vector<core::ItemId>> cand_recents;
-  for (size_t i = 0; i < recent.size(); ++i) {
-    const Result<std::string>& blob = sim_blobs[i];
-    if (!blob.ok()) {
-      if (blob.status().IsNotFound()) continue;
-      return blob.status();
+  std::vector<TopK<core::ItemId>> lists(recent.size(), TopK<core::ItemId>(0));
+  for (size_t r = 0; r < recent.size(); ++r) {
+    if (!sim_blobs[r].ok()) {
+      if (sim_blobs[r].status().IsNotFound()) continue;
+      return sim_blobs[r].status();
     }
-    auto list = DecodeScoredList(*blob);
+    auto list = DecodeScoredList(*sim_blobs[r],
+                                 static_cast<size_t>(app_->options.top_k));
     if (!list.ok()) return list.status();
-    for (const auto& entry : *list) {
-      if (history->RatingOf(entry.item) > 0.0) continue;  // already rated
-      cand_recents[entry.item].push_back(recent[i]);
-    }
+    lists[r] = std::move(list).value();
   }
+  core::PredictionTerms terms;
+  core::CollectTerms(*history, recent,
+                     [&lists](size_t r) { return &lists[r]; }, &terms);
 
-  // Stage 2: plan EVERY windowed count the scoring loop will touch — the
-  // itemCount windows of all candidates and recent items, plus the
-  // pairCount window of every (p, q) edge — and fetch the whole plan with
-  // one deduped grouped read (candidates share the recent items; dedupe is
-  // the memoization).
+  // Stage 2: the itemCount window of every candidate and of every recent
+  // item with a term, and the pairCount window of every term, in one
+  // deduped grouped read. No pair window repeats (PredictionTerms).
   WindowPlan plan(app_, now);
-  std::unordered_map<core::ItemId, WindowPlan::Range> item_range;
-  auto plan_item = [&](core::ItemId item) {
-    if (item_range.count(item) != 0) return;
-    item_range[item] = plan.Add(
-        [&](int64_t s) { return app_->keys.ItemCount(s, item); });
+  auto plan_item = [&](WindowPlan::Range* range, core::ItemId item) {
+    if (range->end != 0) return;  // planned already
+    *range = plan.Add([&](int64_t s) { return app_->keys.ItemCount(s, item); });
   };
-  std::map<std::pair<core::ItemId, core::ItemId>, WindowPlan::Range>
-      pair_range;
-  for (const auto& [p, qs] : cand_recents) {
-    plan_item(p);
-    for (core::ItemId q : qs) {
-      plan_item(q);
-      const core::ItemId lo = std::min(p, q);
-      const core::ItemId hi = std::max(p, q);
-      if (pair_range.count({lo, hi}) != 0) continue;
-      pair_range[{lo, hi}] = plan.Add(
-          [&](int64_t s) { return app_->keys.PairCount(s, lo, hi); });
-    }
+  std::vector<WindowPlan::Range> candidate_range(terms.candidates.size());
+  std::vector<WindowPlan::Range> recent_range(recent.size());
+  std::vector<WindowPlan::Range> pair_range;
+  for (const core::PredictionTerms::Term& term : terms.terms) {
+    const core::ItemId p = terms.candidates[term.candidate];
+    const core::ItemId q = recent[term.recent];
+    plan_item(&candidate_range[term.candidate], p);
+    plan_item(&recent_range[term.recent], q);
+    const core::ItemId lo = std::min(p, q);
+    const core::ItemId hi = std::max(p, q);
+    pair_range.push_back(plan.Add(
+        [&](int64_t s) { return app_->keys.PairCount(s, lo, hi); }));
   }
   std::vector<Result<std::string>> vals;
   TR_RETURN_IF_ERROR(FetchMany(plan.keys, &vals));
+  auto sums = [&vals](const std::vector<WindowPlan::Range>& ranges) {
+    std::vector<Result<double>> out;
+    for (const auto& range : ranges) {
+      out.push_back(WindowPlan::SumOf(vals, range));
+    }
+    return out;
+  };
+  const std::vector<Result<double>> candidate_count = sums(candidate_range);
+  const std::vector<Result<double>> recent_count = sums(recent_range);
 
-  std::unordered_map<core::ItemId, Result<double>> item_count;
-  for (const auto& [item, range] : item_range) {
-    item_count.emplace(item, WindowPlan::SumOf(vals, range));
+  // A count the store could not read weighs its term NaN, which drops only
+  // that candidate (the batched client's per-key-status semantics) instead
+  // of failing the whole recommendation.
+  std::vector<bool> unread(terms.candidates.size());
+  auto unread_term = [&](uint32_t candidate) {
+    unread[candidate] = true;
+    return std::numeric_limits<double>::quiet_NaN();
+  };
+  core::Recommendations scored = core::ScoreTerms(
+      *history, recent, terms,
+      [&](size_t t) {
+        const core::PredictionTerms::Term& term = terms.terms[t];
+        const Result<double>& cp = candidate_count[term.candidate];
+        if (!cp.ok()) return unread_term(term.candidate);
+        if (*cp <= 0.0) return 0.0;
+        const Result<double>& cq = recent_count[term.recent];
+        if (!cq.ok()) return unread_term(term.candidate);
+        if (*cq <= 0.0) return 0.0;
+        const Result<double> pc = WindowPlan::SumOf(vals, pair_range[t]);
+        if (!pc.ok()) return unread_term(term.candidate);
+        return core::ItemSimilarity(*pc, *cp, *cq);
+      },
+      n);
+  for (bool u : unread) {
+    if (u) Degraded();
   }
-
-  // Eq. 2 over the recent items, with a log1p(Σ sim) confidence boost. A
-  // transient per-key store error drops only the affected candidate (the
-  // per-key-status semantics of the batched client) instead of failing the
-  // whole recommendation.
-  core::Recommendations scored;
-  scored.reserve(cand_recents.size());
-  for (const auto& [p, qs] : cand_recents) {
-    const Result<double>& cp = item_count.at(p);
-    if (!cp.ok()) {
-      Degraded();
-      continue;
-    }
-    if (*cp <= 0.0) continue;
-    double num = 0.0;
-    double den = 0.0;
-    bool degraded = false;
-    for (core::ItemId q : qs) {
-      const Result<double>& cq = item_count.at(q);
-      if (!cq.ok()) {
-        degraded = true;
-        break;
-      }
-      if (*cq <= 0.0) continue;
-      const core::ItemId lo = std::min(p, q);
-      const core::ItemId hi = std::max(p, q);
-      auto pc = WindowPlan::SumOf(vals, pair_range.at({lo, hi}));
-      if (!pc.ok()) {
-        degraded = true;
-        break;
-      }
-      if (*pc <= 0.0) continue;
-      const double sim = core::ItemSimilarity(*pc, *cp, *cq);
-      num += sim * history->RatingOf(q);
-      den += sim;
-    }
-    if (degraded) {
-      Degraded();
-      continue;
-    }
-    if (den <= 0.0) continue;
-    scored.push_back({p, core::PredictedScore(num, den)});
-  }
-  std::sort(scored.begin(), scored.end(), core::ByRank());
-  if (scored.size() > n) scored.resize(n);
   return scored;
 }
 

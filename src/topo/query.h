@@ -45,7 +45,10 @@ class StoreQuery {
   StoreQuery(const AppContext* app, std::shared_ptr<QueryCache> cache);
 
   /// Item-based CF prediction (Eq. 2 over the user's recent-k items, §4.3)
-  /// from the sim:<item> lists. Excludes items the user already rated.
+  /// by the in-memory kernels' rule (core::CollectTerms, ScoreTerms): terms
+  /// from the sim:<q> lists, each weighted by Eq. 5 over the current window
+  /// counts, so on the same state it returns what RecommendForUser does.
+  /// Excludes items the user already rated.
   Result<core::Recommendations> RecommendCf(core::UserId user, size_t n,
                                             EventTime now);
 

@@ -25,17 +25,20 @@ void StoreCache::Touch(Entry& entry) {
 
 void StoreCache::Trim() {
   while (lru_.size() > capacity_) {
-    entries_.erase(lru_.back());
+    const std::string* key = lru_.back();
     lru_.pop_back();
+    entries_.erase(entries_.find(*key));
   }
 }
 
 void StoreCache::InsertClean(const std::string& key, std::string value,
                              bool negative) {
   if (capacity_ == 0) return;  // would be evicted at once
-  lru_.push_front(key);
-  entries_.emplace(key, Entry{std::move(value), negative, /*dirty=*/false,
-                              /*trace=*/0, lru_.begin()});
+  auto it = entries_.emplace(key, Entry{std::move(value), negative,
+                                        /*dirty=*/false, /*trace=*/0, {}})
+                .first;
+  lru_.push_front(&it->first);
+  it->second.node = lru_.begin();
   Trim();
 }
 
@@ -77,7 +80,7 @@ void StoreCache::Put(const std::string& key, std::string value) {
   entry.dirty = true;
   entry.trace = CurrentTraceId();
   if (inserted) {
-    entry.node = staged_.insert(staged_.end(), key);
+    entry.node = staged_.insert(staged_.end(), &it->first);
   } else {
     staged_.splice(staged_.end(), lru_, entry.node);
   }
@@ -124,9 +127,9 @@ Status StoreCache::Flush() {
   std::vector<Entry*> shipped;
   puts.reserve(staged_.size());
   shipped.reserve(staged_.size());
-  for (const std::string& key : staged_) {
-    Entry& entry = entries_.find(key)->second;
-    puts.emplace_back(key, entry.value);
+  for (const std::string* key : staged_) {
+    Entry& entry = entries_.find(*key)->second;
+    puts.emplace_back(*key, entry.value);
     shipped.push_back(&entry);
   }
   std::vector<Status> statuses;

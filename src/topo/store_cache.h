@@ -106,7 +106,7 @@ class StoreCache {
     /// reaches the store write even though the write ships later.
     uint64_t trace = 0;
     /// The entry's node in `lru_` (clean) or `staged_` (dirty).
-    std::list<std::string>::iterator node;
+    std::list<const std::string*>::iterator node;
   };
 
   /// Holds a clean value read from the store, then evicts past capacity.
@@ -118,10 +118,12 @@ class StoreCache {
 
   tdstore::Client* client_;
   const size_t capacity_;
-  /// Clean keys, most recent first; the LRU order.
-  std::list<std::string> lru_;
+  /// Clean keys, most recent first; the LRU order. The lists point at
+  /// `entries_`'s own keys, which a node-based map keeps in place across
+  /// rehashes, so each key is held once.
+  std::list<const std::string*> lru_;
   /// Dirty keys in the order first staged; the order Flush ships them.
-  std::list<std::string> staged_;
+  std::list<const std::string*> staged_;
   std::unordered_map<std::string, Entry> entries_;
   /// Staged-key count that triggers the next auto-flush.
   size_t flush_at_ = kFlushAt;

@@ -366,6 +366,77 @@ TEST(PracticalItemCfTest, PrunesPersistentlyDissimilarPairs) {
   EXPECT_FALSE(cf.IsPruned(1, 3));
 }
 
+// Eq. 2's terms for a candidate are the recent items whose list holds it:
+// a co-rated item that a full list left out, and a pruned pair, add none,
+// though both pairs keep a positive similarity. The score is then the
+// single-term prediction.
+TEST(PracticalItemCfTest, Eq2TermsComeOnlyFromListsHoldingTheCandidate) {
+  auto expect_one_term = [](const PracticalItemCf& cf, UserId user,
+                            ItemId candidate, ItemId holder, ItemId other) {
+    ASSERT_TRUE(cf.SimilarItems(holder)->Contains(candidate));
+    ASSERT_FALSE(cf.SimilarItems(other)->Contains(candidate));
+    ASSERT_GT(cf.EffectiveSimilarity(candidate, other), 0.0);
+    const double w = cf.EffectiveSimilarity(candidate, holder);
+    const double want = PredictedScore(w * cf.UserRating(user, holder), w);
+    bool found = false;
+    for (const ScoredItem& rec : cf.RecommendForUser(user, 10)) {
+      if (rec.item != candidate) continue;
+      found = true;
+      EXPECT_DOUBLE_EQ(rec.score, want);
+    }
+    EXPECT_TRUE(found);
+  };
+
+  {
+    // Left out by a full list: top_k 1 keeps 40 on 20's list, and 30,
+    // co-rated with 20 by one user, stays off it.
+    PracticalItemCf::Options options = PlainOptions();
+    options.top_k = 1;
+    PracticalItemCf cf(options);
+    EventTime t = 0;
+    for (UserId u = 1; u <= 6; ++u) {
+      cf.ProcessAction(Act(u, 10, ActionType::kClick, t += Seconds(1)));
+      cf.ProcessAction(Act(u, 30, ActionType::kClick, t += Seconds(1)));
+      cf.ProcessAction(Act(100 + u, 20, ActionType::kClick, t += Seconds(1)));
+      cf.ProcessAction(Act(100 + u, 40, ActionType::kClick, t += Seconds(1)));
+    }
+    cf.ProcessAction(Act(50, 20, ActionType::kClick, t += Seconds(1)));
+    cf.ProcessAction(Act(50, 30, ActionType::kClick, t += Seconds(1)));
+    cf.ProcessAction(Act(99, 10, ActionType::kPurchase, t += Seconds(1)));
+    cf.ProcessAction(Act(99, 20, ActionType::kClick, t += Seconds(1)));
+    expect_one_term(cf, 99, /*candidate=*/30, /*holder=*/10, /*other=*/20);
+  }
+  {
+    // Pruned: the stream of PrunesPersistentlyDissimilarPairs prunes
+    // (1, 99) and erases 1 from 99's list.
+    PracticalItemCf::Options options = PlainOptions();
+    options.enable_pruning = true;
+    options.hoeffding_delta = 0.1;
+    options.top_k = 2;
+    PracticalItemCf cf(options);
+    EventTime t = 0;
+    for (int round = 0; round < 60; ++round) {
+      const UserId u = 1000 + round;
+      const UserId v = 5000 + round;
+      for (ItemId item : {1, 2, 3}) {
+        cf.ProcessAction(Act(u, item, ActionType::kPurchase, t += Seconds(1)));
+      }
+      for (ItemId item : {99, 98, 97}) {
+        cf.ProcessAction(Act(v, item, ActionType::kPurchase, t += Seconds(1)));
+      }
+      if (round % 3 == 0) {
+        const UserId z = 9000 + round;
+        cf.ProcessAction(Act(z, 99, ActionType::kBrowse, t += Seconds(1)));
+        cf.ProcessAction(Act(z, 1, ActionType::kBrowse, t += Seconds(1)));
+      }
+    }
+    ASSERT_TRUE(cf.IsPruned(1, 99));
+    cf.ProcessAction(Act(7, 2, ActionType::kPurchase, t += Seconds(1)));
+    cf.ProcessAction(Act(7, 99, ActionType::kClick, t += Seconds(1)));
+    expect_one_term(cf, 7, /*candidate=*/1, /*holder=*/2, /*other=*/99);
+  }
+}
+
 TEST(PracticalItemCfTest, NoPruningBeforeListsFill) {
   PracticalItemCf::Options options = PlainOptions();
   options.enable_pruning = true;

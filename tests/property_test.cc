@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <map>
+#include <set>
 #include <unistd.h>
 
 #include "common/random.h"
@@ -14,6 +16,7 @@
 #include "tdaccess/segment_log.h"
 #include "tdstore/client.h"
 #include "tdstore/cluster.h"
+#include "topo/blob_codec.h"
 #include "tstorm/xml.h"
 
 namespace tencentrec {
@@ -130,6 +133,46 @@ TEST_P(TopKProperty, MatchesSortedReference) {
       topk.Erase(99);
       latest.erase(99);
     }
+  }
+}
+
+// A stored list decodes (TopK::Load) to the table Update over its entries
+// builds: in rank order, shuffled, with repeated ids (shuffled or in rank
+// order), and with more entries than the table holds. Coarse scores make
+// ties, so the id tie-break decides ranks too.
+TEST_P(TopKProperty, LoadedBlobMatchesUpdateLoop) {
+  Rng rng(GetParam());
+  for (int trial = 0; trial < 400; ++trial) {
+    const size_t k = 1 + rng.Uniform(8);
+    const size_t n = rng.Uniform(20);
+    const uint64_t id_range = 1 + rng.Uniform(24);
+    core::Recommendations entries;
+    for (size_t i = 0; i < n; ++i) {
+      entries.push_back({static_cast<core::ItemId>(1 + rng.Uniform(id_range)),
+                         0.125 * static_cast<double>(rng.Uniform(8))});
+    }
+    const uint64_t mode = rng.Uniform(4);
+    if (mode <= 1) {  // distinct ids
+      std::set<core::ItemId> seen;
+      std::erase_if(entries, [&seen](const core::ScoredItem& e) {
+        return !seen.insert(e.item).second;
+      });
+    }
+    if (mode == 0 || mode == 3) {  // rank order
+      std::sort(entries.begin(), entries.end(), core::ByRank());
+    } else {
+      for (size_t i = entries.size(); i > 1; --i) {
+        std::swap(entries[i - 1], entries[rng.Uniform(i)]);
+      }
+    }
+
+    TopK<core::ItemId> want(k);
+    for (const core::ScoredItem& e : entries) want.Update(e.item, e.score);
+    auto got = topo::DecodeScoredList(topo::EncodeScoredList(entries), k);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->entries(), want.entries())
+        << "trial " << trial << " mode " << mode;
+    EXPECT_EQ(got->Threshold(), want.Threshold());
   }
 }
 

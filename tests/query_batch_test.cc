@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/itemcf/item_cf.h"
 #include "engine/tencentrec.h"
 #include "tdstore/client.h"
 #include "tdstore/cluster.h"
@@ -636,6 +637,49 @@ TEST(StoreQueryTest, RecommendCfDegradesPerCandidateOnKeyErrors) {
   cluster->data_server(target)->SetDown(false);
 }
 
+TEST(StoreQueryTest, UnreadableCountDropsItsCandidateOnceOnTheCounter) {
+  // A count the plan cannot read (here a corrupt itemCount blob) drops only
+  // its candidate, which counts once on topo.query.degraded_candidates
+  // though both of the user's recent items list it.
+  auto store = tdstore::Cluster::Create({});
+  ASSERT_TRUE(store.ok());
+  tdstore::Client seed(store->get());
+  AppOptions options;
+  options.app = "unread";
+  options.window_sessions = 0;
+  AppContext app(store->get(), options);
+
+  constexpr UserId kUser = 1;
+  const EventTime now = Seconds(100);
+  core::UserHistory history;
+  history.Restore(1, 3.0, now);
+  history.Restore(2, 2.0, now - 1);
+  ASSERT_TRUE(seed.Put(app.keys.UserHistory(kUser),
+                       topo::EncodeUserHistory(history))
+                  .ok());
+  for (ItemId q : {1, 2}) {
+    ASSERT_TRUE(seed.Put(app.keys.SimilarItems(q),
+                         topo::EncodeScoredList({{10, 0.9}, {20, 0.8}}))
+                    .ok());
+    ASSERT_TRUE(seed.PutDouble(app.keys.ItemCount(0, q), 5.0).ok());
+    for (ItemId p : {10, 20}) {
+      ASSERT_TRUE(seed.PutDouble(app.keys.PairCount(0, q, p), 2.0).ok());
+    }
+  }
+  ASSERT_TRUE(seed.PutDouble(app.keys.ItemCount(0, 10), 4.0).ok());
+  ASSERT_TRUE(seed.Put(app.keys.ItemCount(0, 20), "not a double").ok());
+
+  Counter* degraded = MetricRegistry::Default().GetCounter(
+      "topo.query.degraded_candidates");
+  const uint64_t before = degraded->Value();
+  StoreQuery query(&app);
+  auto recs = query.RecommendCf(kUser, 10, now);
+  ASSERT_TRUE(recs.ok());
+  ASSERT_EQ(recs->size(), 1u);
+  EXPECT_EQ((*recs)[0].item, 10);
+  EXPECT_EQ(degraded->Value() - before, 1u);
+}
+
 // --- parity: the query tier against a point-read oracle ---
 
 std::vector<UserAction> SeededStream(uint64_t seed, int n) {
@@ -928,6 +972,90 @@ TEST(QueryParityTest, MatchesPointReadOracleBitForBit) {
     auto ar = query.RecommendAr(item, 10, now);
     ASSERT_TRUE(ar.ok());
     ExpectSameRecommendations(*ar, oracle.RecommendAr(item, 10, now));
+  }
+}
+
+// --- one Eq. 2: the store path against the in-memory kernel ---
+
+TEST(ServingParityTest, StoreRecommendCfEqualsKernelOnTheSameState) {
+  // A serial kernel's state written under the app's keys — item and pair
+  // counts, sim: lists, and each user's history replayed through
+  // UserHistory::Apply into uh: — serves the kernel's recommendations from
+  // the store, bit for bit. top_k 5 leaves co-rated items off the lists,
+  // so a rule that summed over every recent item would differ. Each user
+  // draws from a 12-item neighbourhood of 30 items, so most users have
+  // unrated candidates.
+  constexpr int kUsers = 40;
+  constexpr int kItems = 30;
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    core::PracticalItemCf::Options cf_options;
+    cf_options.top_k = 5;
+    cf_options.recent_k = 4;
+    cf_options.window_sessions = 0;
+    cf_options.enable_pruning = false;
+    core::PracticalItemCf kernel(cf_options);
+
+    const ActionType kTypes[] = {ActionType::kBrowse, ActionType::kClick,
+                                 ActionType::kRead, ActionType::kPurchase,
+                                 ActionType::kImpression};
+    Rng rng(seed);
+    std::map<UserId, core::UserHistory> histories;
+    EventTime now = 0;
+    for (int i = 0; i < 3000; ++i) {
+      UserAction a;
+      a.user = static_cast<UserId>(1 + rng.Uniform(kUsers));
+      a.item = static_cast<ItemId>(
+          1 + (a.user * 7 + rng.Uniform(12)) % kItems);
+      a.action = kTypes[rng.Uniform(5)];
+      a.timestamp = now = Seconds(i * 10);
+      kernel.ProcessAction(a);
+      histories[a.user].Apply(a, cf_options.weights, cf_options.linked_time,
+                              [](auto&&...) {}, [](auto&&...) {});
+    }
+
+    auto store = tdstore::Cluster::Create({});
+    ASSERT_TRUE(store.ok());
+    tdstore::Client client(store->get());
+    AppOptions options;
+    options.app = "eq2";
+    options.top_k = cf_options.top_k;
+    options.recent_k = cf_options.recent_k;
+    options.window_sessions = 0;  // cumulative: every count in session 0
+    AppContext app(store->get(), options);
+    for (ItemId i = 1; i <= kItems; ++i) {
+      const double count = kernel.counts().ItemCount(i);
+      if (count > 0.0) {
+        ASSERT_TRUE(client.PutDouble(app.keys.ItemCount(0, i), count).ok());
+      }
+      if (const auto* list = kernel.SimilarItems(i)) {
+        ASSERT_TRUE(client
+                        .Put(app.keys.SimilarItems(i),
+                             topo::EncodeScoredList(*list))
+                        .ok());
+      }
+      for (ItemId j = i + 1; j <= kItems; ++j) {
+        const double pair = kernel.counts().PairCount(i, j);
+        if (pair <= 0.0) continue;
+        ASSERT_TRUE(client.PutDouble(app.keys.PairCount(0, i, j), pair).ok());
+      }
+    }
+    for (const auto& [user, history] : histories) {
+      ASSERT_TRUE(client
+                      .Put(app.keys.UserHistory(user),
+                           topo::EncodeUserHistory(history))
+                      .ok());
+    }
+
+    StoreQuery query(&app);
+    int answered = 0;
+    for (UserId user = 1; user <= kUsers; ++user) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " user " << user);
+      auto served = query.RecommendCf(user, 10, now);
+      ASSERT_TRUE(served.ok());
+      ExpectSameRecommendations(*served, kernel.RecommendForUser(user, 10));
+      if (!served->empty()) ++answered;
+    }
+    EXPECT_GE(answered, 30) << "seed " << seed;
   }
 }
 
